@@ -3,14 +3,14 @@
 // processes, checkpoint progress, and merge shards to bytes identical to the
 // single-process run.
 //
-// Examples:
+// Examples (long commands wrap onto indented lines; type each as one line):
 //   # single process, the reference output
-//   mra_fabric --local --grid sweep --scenario all --algo all --quick \
+//   mra_fabric --local --grid sweep --scenario all --algo all --quick
 //       --out ref.json
 //
 //   # file-queue backend: one coordinator + any number of workers sharing
 //   # a spool directory (NFS works)
-//   mra_fabric --coordinator --spool /tmp/spool --grid sweep --scenario all \
+//   mra_fabric --coordinator --spool /tmp/spool --grid sweep --scenario all
 //       --algo all --quick --out merged.json &
 //   mra_fabric --worker --spool /tmp/spool &
 //   mra_fabric --worker --spool /tmp/spool &

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Fails when README.md or DESIGN.md reference repo paths that do not exist.
-# Checked path prefixes: src/ tests/ bench/ examples/ scripts/ .github/
+# Checked path prefixes: src/ tests/ bench/ perfbench/ examples/ scripts/
+# .github/
 # (build/ outputs are intentionally not checked — they only exist after a
 # build). Supports the `foo.{hpp,cpp}` brace shorthand used in the docs.
 set -euo pipefail
@@ -9,7 +10,7 @@ cd "$(dirname "$0")/.."
 fail=0
 for doc in README.md DESIGN.md; do
   [ -f "$doc" ] || { echo "missing doc: $doc"; fail=1; continue; }
-  refs=$(grep -oE '(src|tests|bench|examples|scripts|\.github)/[A-Za-z0-9_./{},*-]+' "$doc" \
+  refs=$(grep -oE '(src|tests|perfbench|bench|examples|scripts|\.github)/[A-Za-z0-9_./{},*-]+' "$doc" \
          | sed 's/[.,;:)]*$//' | sort -u || true)
   for ref in $refs; do
     # Expand foo.{hpp,cpp} into both members.

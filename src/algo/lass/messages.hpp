@@ -6,21 +6,28 @@
 // produced while handling one event are combined into a single network
 // message. Request bundles additionally carry the set of already-visited
 // sites (§4.2.1, cycle suppression).
+//
+// The item lists are the same inline-capacity vectors the sender's
+// aggregation buffers use, so a flush moves a buffer into its message and
+// the common bundle (a few items, a short visited list) lives entirely in
+// the pooled message block: no per-delivery heap allocation.
 #pragma once
 
 #include <string_view>
-#include <vector>
 
 #include "algo/lass/token.hpp"
+#include "core/small_vector.hpp"
 #include "core/types.hpp"
 #include "net/message.hpp"
 
 namespace mra::algo::lass {
 
+using ReqItems = core::SmallVector<ReqItem, 2>;
+
 /// Request messages: forwarded hop-by-hop along the resource tree.
 struct RequestBundleMsg final : net::Message {
-  std::vector<SiteId> visited;  ///< sites already traversed by this bundle
-  std::vector<ReqItem> items;
+  core::SmallVector<SiteId, 6> visited;  ///< sites already traversed
+  ReqItems items;
 
   [[nodiscard]] std::string_view kind() const override { return "Lass.Req"; }
   [[nodiscard]] std::size_t wire_size() const override {
@@ -36,9 +43,11 @@ struct CounterItem {
   CounterValue value = 0;
 };
 
+using CounterItems = core::SmallVector<CounterItem, 2>;
+
 /// Counter replies: sent directly to the requester.
 struct CounterBundleMsg final : net::Message {
-  std::vector<CounterItem> items;
+  CounterItems items;
 
   [[nodiscard]] std::string_view kind() const override { return "Lass.Counter"; }
   [[nodiscard]] std::size_t wire_size() const override {
@@ -46,9 +55,11 @@ struct CounterBundleMsg final : net::Message {
   }
 };
 
+using TokenItems = core::SmallVector<LassToken, 1>;
+
 /// Tokens: sent directly to their next holder.
 struct TokenBundleMsg final : net::Message {
-  std::vector<LassToken> items;
+  TokenItems items;
 
   [[nodiscard]] std::string_view kind() const override { return "Lass.Token"; }
   [[nodiscard]] std::size_t wire_size() const override {

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
-#include <sstream>
+#include <cstdint>
 #include <stdexcept>
 
 #include "check/mutant.hpp"
@@ -23,6 +22,11 @@ LassNode::LassNode(const LassConfig& config, Trace* trace)
   if (config.num_sites <= 0 || config.num_resources <= 0) {
     throw std::invalid_argument("LassConfig: num_sites and num_resources must be positive");
   }
+  if (config.num_resources > UINT16_MAX) {
+    // The per-resource index stores 16-bit slots (DESIGN.md §13).
+    throw std::invalid_argument(
+        "LassConfig: num_resources must be at most 65535");
+  }
   current_ = ResourceSet(config.num_resources);
 }
 
@@ -35,7 +39,9 @@ void LassNode::on_start() {
   // the initial state, so the lazy path is behavior-identical (§13).
   tok_dir_.assign(static_cast<std::size_t>(cfg_.num_resources),
                   id() == cfg_.elected_node ? kNoSite : cfg_.elected_node);
-  last_tok_.clear();
+  slots_.clear();
+  toks_.clear();
+  pending_.clear();
   if (id() == cfg_.elected_node) {
     for (ResourceId r = 0; r < cfg_.num_resources; ++r) {
       (void)tok(r);
@@ -45,9 +51,8 @@ void LassNode::on_start() {
 }
 
 void LassNode::trace(const std::string& what) {
-  if (trace_ != nullptr && trace_->enabled() && network_ != nullptr) {
-    trace_->log(network_->simulator().now(), id(), what);
-  }
+  assert(tracing() && "format trace lines only when tracing()");
+  trace_->log(network_->simulator().now(), id(), what);
 }
 
 ReqItem LassNode::my_res_request(ResourceId r) const {
@@ -56,7 +61,7 @@ ReqItem LassNode::my_res_request(ResourceId r) const {
   item.r = r;
   item.sinit = id();
   item.id = request_seq_;
-  item.mark = mark_fn_(my_vector_);
+  item.mark = mark_;
   return item;
 }
 
@@ -86,7 +91,7 @@ void LassNode::do_request(const ResourceSet& resources) {
   state_ = ProcessState::kWaitS;
   cnt_needed_.clear();
   single_res_registered_ = false;
-  trace("Request_CS " + resources.to_string());
+  if (tracing()) trace("Request_CS " + resources.to_string());
 
   const bool single_res_opt =
       cfg_.opt_single_resource && resources.size() == 1;
@@ -112,7 +117,8 @@ void LassNode::do_request(const ResourceSet& resources) {
       buffer_request(tok_dir(r), item);
     }
   });
-  flush_requests({id()});
+  update_mark();
+  flush_own_requests();
 
   if (t_required_.subset_of(t_owned_)) {
     enter_cs();
@@ -124,7 +130,7 @@ void LassNode::do_request(const ResourceSet& resources) {
 // ---------------------------------------------------------------------------
 void LassNode::do_release() {
   assert(state_ == ProcessState::kInCS && "release outside CS");
-  trace("Release_CS " + t_required_.to_string());
+  if (tracing()) trace("Release_CS " + t_required_.to_string());
   state_ = ProcessState::kIdle;
   loan_asked_ = false;
 
@@ -155,6 +161,7 @@ void LassNode::do_release() {
   t_required_.clear();
   current_.clear();
   std::fill(my_vector_.begin(), my_vector_.end(), 0);
+  update_mark();
   flush_responses();
 }
 
@@ -167,7 +174,9 @@ void LassNode::enter_cs() {
     if (tok(r).lender != kNoSite && tok(r).lender != id()) via_loan = true;
   });
   if (via_loan) ++loans_used_;
-  trace("enter CS " + t_required_.to_string() + (via_loan ? " (loan)" : ""));
+  if (tracing()) {
+    trace("enter CS " + t_required_.to_string() + (via_loan ? " (loan)" : ""));
+  }
   notify_granted();
 }
 
@@ -188,14 +197,14 @@ void LassNode::send_token(SiteId dst, ResourceId r) {
 void LassNode::process_cnt_needed_empty() {
   assert(state_ == ProcessState::kWaitS && cnt_needed_.empty());
   state_ = ProcessState::kWaitCS;
-  trace("waitCS mark=" + std::to_string(mark_fn_(my_vector_)));
+  if (tracing()) trace("waitCS mark=" + std::to_string(mark_));
   t_required_.for_each([&](ResourceId r) {
     if (!owns(r)) {
       if (single_res_registered_) return;  // §4.6.1: already registered
       buffer_request(tok_dir(r), my_res_request(r));
     }
   });
-  flush_requests({id()});
+  flush_own_requests();
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +243,10 @@ void LassNode::process_req_loan(const ReqItem& req) {
   if (is_obsolete(req)) return;
   if (req.sinit == id()) return;  // our own loan request came home
   if (can_lend(req)) {
-    trace("lend " + req.missing.to_string() + " to s" + std::to_string(req.sinit));
+    if (tracing()) {
+      trace("lend " + req.missing.to_string() + " to s" +
+            std::to_string(req.sinit));
+    }
     t_lent_ = req.missing;
     req.missing.for_each([&](ResourceId rp) {
       tok(rp).lender = id();
@@ -264,6 +276,7 @@ void LassNode::process_update(const LassToken& t) {
     my_vector_[static_cast<std::size_t>(r)] = mine.counter;
     ++mine.counter;
     cnt_needed_.erase(r);
+    update_mark();
   }
   if (t_lent_.contains(r)) {
     t_lent_.erase(r);
@@ -282,12 +295,11 @@ void LassNode::process_update(const LassToken& t) {
   mine.wloan.remove_site(id());
 
   // Fold the local request history into the token (lines 145-158).
-  core::SmallVector<ReqItem, 1> pending;
-  if (auto it = pending_req_.find(r); it != pending_req_.end()) {
-    pending = std::move(it->second);
-    pending_req_.erase(it);
+  History history;
+  if (const std::uint16_t s = slot(r).pending; s != 0) {
+    history = std::move(pending_[s - 1U]);
   }
-  for (const ReqItem& req : pending) {
+  for (const ReqItem& req : history) {
     if (is_obsolete(req)) continue;
     if (req.sinit == id()) continue;  // [deviation 2] self-request, satisfied
     switch (req.type) {
@@ -332,7 +344,7 @@ void LassNode::reply_counter(const ReqItem& req) {
 // Receive Request (Annex A, lines 159-189)
 // ---------------------------------------------------------------------------
 void LassNode::process_request_item(const ReqItem& req,
-                                    const std::vector<SiteId>& visited) {
+                                    const Visited& visited) {
   const ResourceId r = req.r;
   if (is_obsolete(req)) return;
 
@@ -378,19 +390,15 @@ void LassNode::process_request_item(const ReqItem& req,
         state_ == ProcessState::kWaitCS && t_required_.contains(r) &&
         my_res_request(r).precedes(req);
     if (we_precede || t_lent_.contains(r)) {
-      pending_req_[r].push_back(req);
+      pending(r).push_back(req);
       return;
     }
   }
 
-  if (std::find(visited.begin(), visited.end(), father) == visited.end()) {
-    pending_req_[r].push_back(req);
-    buffer_request(father, req);
-  } else {
-    // [deviation 1] Forwarding stops here; keep the request in the local
-    // history so a future token visit serves it (lemma 6's argument).
-    pending_req_[r].push_back(req);
-  }
+  pending(r).push_back(req);
+  // [deviation 1] Forwarding stops at a visited father; the request stays
+  // in the local history so a future token visit serves it (lemma 6).
+  if (!visited.contains(father)) buffer_request(father, req);
 }
 
 void LassNode::handle_res_request_as_owner(const ReqItem& req) {
@@ -414,11 +422,14 @@ void LassNode::handle_res_request_as_owner(const ReqItem& req) {
 // Receive Token (Annex A, lines 208-254)
 // ---------------------------------------------------------------------------
 void LassNode::serve_queues_after_token() {
-  // Lines 226-240: yield owned tokens according to the `/` order.
-  for (ResourceId r : t_owned_.to_vector()) {
-    if (!owns(r)) continue;  // may have been sent in an earlier iteration
+  // Lines 226-240: yield owned tokens according to the `/` order. Sending
+  // only erases from t_owned_, and for_each reads each word when it gets
+  // there, so this visits exactly the members a snapshot would, minus the
+  // ones already sent — which the snapshot loop skipped via owns(r).
+  t_owned_.for_each([&](ResourceId r) {
+    if (!owns(r)) return;  // sent in an earlier iteration
     LassToken& t = tok(r);
-    if (t.wqueue.empty()) continue;
+    if (t.wqueue.empty()) return;
     if (state_ == ProcessState::kWaitS || state_ == ProcessState::kIdle ||
         !t_required_.contains(r)) {
       // waitS: our mark is not fixed, always yield (lines 230-232).
@@ -434,23 +445,22 @@ void LassNode::serve_queues_after_token() {
         send_token(head.sinit, r);
       }
     }
-  }
+  });
 
   // Lines 241-247: retry pending loan requests on every owned token.
-  for (ResourceId r : t_owned_.to_vector()) {
-    if (!owns(r)) continue;
+  t_owned_.for_each([&](ResourceId r) {
+    if (!owns(r)) return;
     LassToken& t = tok(r);
-    if (t.wloan.empty()) continue;
-    SortedRequestQueue::Items copy = t.wloan.items();
-    t.wloan.clear();
-    for (const ReqItem& req : copy) {
+    if (t.wloan.empty()) return;
+    const SortedRequestQueue::Items queued = t.wloan.take_items();
+    for (const ReqItem& req : queued) {
       // Serving one loan request can ship this very token (grant or
       // fallback); later entries then find it gone. Dropping them is safe:
       // loans are opportunistic, the requester's ReqRes guarantees progress.
       if (!owns(req.r)) break;
       process_req_loan(req);
     }
-  }
+  });
 }
 
 void LassNode::maybe_initiate_loan() {
@@ -459,24 +469,29 @@ void LassNode::maybe_initiate_loan() {
   if (!cfg_.enable_loan || state_ != ProcessState::kWaitCS || loan_asked_) {
     return;
   }
-  const ResourceSet missing = t_required_.set_difference(t_owned_);
-  if (missing.empty() ||
-      missing.size() > static_cast<std::size_t>(cfg_.loan_threshold)) {
+  // Count first: the set itself is only built when a loan is asked.
+  std::size_t num_missing = 0;
+  t_required_.for_each([&](ResourceId r) {
+    if (!owns(r)) ++num_missing;
+  });
+  if (num_missing == 0 ||
+      num_missing > static_cast<std::size_t>(cfg_.loan_threshold)) {
     return;
   }
+  const ResourceSet missing = t_required_.set_difference(t_owned_);
   loan_asked_ = true;
-  trace("ask loan for " + missing.to_string());
+  if (tracing()) trace("ask loan for " + missing.to_string());
   missing.for_each([&](ResourceId r) {
     ReqItem item;
     item.type = ReqType::kLoan;
     item.r = r;
     item.sinit = id();
     item.id = request_seq_;
-    item.mark = mark_fn_(my_vector_);
+    item.mark = mark_;
     item.missing = missing;
     buffer_request(tok_dir(r), item);
   });
-  flush_requests({id()});
+  flush_own_requests();
 }
 
 // ---------------------------------------------------------------------------
@@ -484,14 +499,13 @@ void LassNode::maybe_initiate_loan() {
 // ---------------------------------------------------------------------------
 void LassNode::on_message(SiteId from, const net::Message& msg) {
   if (const auto* reqs = dynamic_cast<const RequestBundleMsg*>(&msg)) {
+    const Visited received{reqs->visited};
     for (const ReqItem& item : reqs->items) {
-      process_request_item(item, reqs->visited);
+      process_request_item(item, received);
     }
-    std::vector<SiteId> visited = reqs->visited;
-    if (std::find(visited.begin(), visited.end(), id()) == visited.end()) {
-      visited.push_back(id());
-    }
-    flush_requests(visited);
+    // Forwarded bundles list this site too (once).
+    const SiteId extra = received.contains(id()) ? kNoSite : id();
+    flush_requests(Visited{reqs->visited, extra});
     flush_responses();
     return;
   }
@@ -504,6 +518,7 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
       cnt_needed_.erase(c.r);
       tok_dir(c.r) = from;  // line 260: the replier held the token
     }
+    update_mark();
     if (state_ == ProcessState::kWaitS && cnt_needed_.empty()) {
       process_cnt_needed_empty();
     }
@@ -524,7 +539,8 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
         enter_cs();
       } else {
         // Failed loan: give borrowed tokens back immediately (lines 216-223).
-        for (ResourceId r : t_owned_.to_vector()) {
+        // Only r itself leaves t_owned_ here, so in-place iteration is safe.
+        t_owned_.for_each([&](ResourceId r) {
           LassToken& t = tok(r);
           if (t.lender != kNoSite && t.lender != id()) {
             const SiteId lender = t.lender;
@@ -537,9 +553,9 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
             send_token(lender, r);
             loan_asked_ = false;
             ++loans_failed_;
-            trace("loan failed, return r" + std::to_string(r));
+            if (tracing()) trace("loan failed, return r" + std::to_string(r));
           }
-        }
+        });
         if (state_ == ProcessState::kWaitS && cnt_needed_.empty()) {
           process_cnt_needed_empty();
         }
@@ -550,7 +566,7 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
       // Idle lender receiving returned tokens: serve whatever queued up.
       serve_queues_after_token();
     }
-    flush_requests({id()});
+    flush_own_requests();
     flush_responses();
     return;
   }
@@ -570,7 +586,12 @@ void LassNode::buffer_counter(SiteId dst, ResourceId r, CounterValue value) {
   cnt_buf_[dst].push_back(CounterItem{r, value});
 }
 
-void LassNode::flush_requests(const std::vector<SiteId>& visited) {
+bool LassNode::Visited::contains(SiteId s) const {
+  return (extra != kNoSite && s == extra) ||
+         std::find(received.begin(), received.end(), s) != received.end();
+}
+
+void LassNode::flush_requests(const Visited& visited) {
   // Local processing (dst == self) can buffer further requests; drain until
   // a fixed point. Termination: each pass either sends on the network or
   // shortens a forwarding path, and paths are bounded by |visited| <= N.
@@ -585,9 +606,10 @@ void LassNode::flush_requests(const std::vector<SiteId>& visited) {
         continue;
       }
       auto msg = std::make_unique<RequestBundleMsg>();
-      msg->visited = visited;
-      msg->items.assign(std::make_move_iterator(items.begin()),
-                        std::make_move_iterator(items.end()));
+      msg->visited.reserve(visited.received.size() + 1);
+      for (const SiteId s : visited.received) msg->visited.push_back(s);
+      if (visited.extra != kNoSite) msg->visited.push_back(visited.extra);
+      msg->items = std::move(items);
       network_->send(id(), dst, std::move(msg));
     }
   }
@@ -599,7 +621,7 @@ void LassNode::flush_responses() {
     cnt_buf_.clear();
     for (auto& [dst, items] : bufs) {
       auto msg = std::make_unique<CounterBundleMsg>();
-      msg->items.assign(items.begin(), items.end());
+      msg->items = std::move(items);
       network_->send(id(), dst, std::move(msg));
     }
   }
@@ -608,8 +630,7 @@ void LassNode::flush_responses() {
     tok_buf_.clear();
     for (auto& [dst, items] : bufs) {
       auto msg = std::make_unique<TokenBundleMsg>();
-      msg->items.assign(std::make_move_iterator(items.begin()),
-                        std::make_move_iterator(items.end()));
+      msg->items = std::move(items);
       network_->send(id(), dst, std::move(msg));
     }
   }

@@ -7,8 +7,10 @@
 // and listed in DESIGN.md §5.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "algo/lass/messages.hpp"
@@ -70,8 +72,9 @@ class LassNode final : public AllocatorNode {
   }
   [[nodiscard]] bool loan_asked() const { return loan_asked_; }
   [[nodiscard]] const CounterVector& counter_vector() const { return my_vector_; }
-  /// Counter values this site's current request obtained (0 = not requested).
-  [[nodiscard]] double current_mark() const { return mark_fn_(my_vector_); }
+  /// A(counter_vector()): the mark of the current request, cached whenever
+  /// the counter vector changes (0 when idle under every built-in policy).
+  [[nodiscard]] double current_mark() const { return mark_; }
   /// Number of CS entries that completed via a loan.
   [[nodiscard]] std::uint64_t loans_used() const { return loans_used_; }
   [[nodiscard]] std::uint64_t loans_failed() const { return loans_failed_; }
@@ -79,17 +82,49 @@ class LassNode final : public AllocatorNode {
  private:
   // -- helpers mirroring the pseudo-code procedures --------------------------
   [[nodiscard]] bool owns(ResourceId r) const { return t_owned_.contains(r); }
+
+  /// r's local request history (Annex A pendingReq[r]).
+  using History = core::SmallVector<ReqItem, 1>;
+  /// One slot of the per-resource index (see the members below): 1-based
+  /// positions of r's token snapshot in toks_ and of its history in
+  /// pending_, 0 = not materialized.
+  struct Slot {
+    std::uint16_t tok = 0;
+    std::uint16_t pending = 0;
+  };
+  /// r's slot; the site's first touch of any resource allocates the index.
+  [[nodiscard]] Slot& slot(ResourceId r) {
+    if (slots_.empty()) {
+      slots_.resize(static_cast<std::size_t>(cfg_.num_resources));
+    }
+    return slots_[static_cast<std::size_t>(r)];
+  }
   /// Materializes r's token snapshot on first touch. A fresh
   /// LassToken(r, N) is exactly the pre-refactor eagerly-initialized state
   /// (counter 1, all ids 0, empty queues, no lender), so lazy creation is
   /// behavior-identical while an untouched site pays 0 bytes for r.
   [[nodiscard]] LassToken& tok(ResourceId r) {
-    return last_tok_.try_emplace(r, r, cfg_.num_sites).first->second;
+    std::uint16_t& s = slot(r).tok;
+    if (s == 0) {
+      toks_.emplace_back(r, cfg_.num_sites);
+      s = static_cast<std::uint16_t>(toks_.size());
+    }
+    return toks_[s - 1U];
   }
   /// Read-only lookup; nullptr means "still in the initial state".
   [[nodiscard]] const LassToken* find_tok(ResourceId r) const {
-    auto it = last_tok_.find(r);
-    return it == last_tok_.end() ? nullptr : &it->second;
+    if (slots_.empty()) return nullptr;
+    const std::uint16_t s = slots_[static_cast<std::size_t>(r)].tok;
+    return s == 0 ? nullptr : &toks_[s - 1U];
+  }
+  /// r's request history, created on first use.
+  [[nodiscard]] History& pending(ResourceId r) {
+    std::uint16_t& s = slot(r).pending;
+    if (s == 0) {
+      pending_.emplace_back();
+      s = static_cast<std::uint16_t>(pending_.size());
+    }
+    return pending_[s - 1U];
   }
   [[nodiscard]] SiteId& tok_dir(ResourceId r) {
     return tok_dir_[static_cast<std::size_t>(r)];
@@ -97,7 +132,16 @@ class LassNode final : public AllocatorNode {
   [[nodiscard]] ReqItem my_res_request(ResourceId r) const;
   [[nodiscard]] bool is_obsolete(const ReqItem& req) const;
 
-  void process_request_item(const ReqItem& req, const std::vector<SiteId>& visited);
+  /// Sites a request bundle has traversed (§4.2.1): a received list plus
+  /// at most one more site, viewed in place so no list is copied per
+  /// delivery. The bundle built from it lists `received`, then `extra`.
+  struct Visited {
+    std::span<const SiteId> received;
+    SiteId extra = kNoSite;
+    [[nodiscard]] bool contains(SiteId s) const;
+  };
+
+  void process_request_item(const ReqItem& req, const Visited& visited);
   void handle_res_request_as_owner(const ReqItem& req);
   CounterValue assign_counter(const ReqItem& req);
   void reply_counter(const ReqItem& req);
@@ -113,10 +157,20 @@ class LassNode final : public AllocatorNode {
   // -- buffered sends (aggregation mechanism, §4.2.2) ------------------------
   void buffer_request(SiteId dst, ReqItem item);
   void buffer_counter(SiteId dst, ResourceId r, CounterValue value);
-  void flush_requests(const std::vector<SiteId>& visited);
+  void flush_requests(const Visited& visited);
+  /// Drains requests this site originated: the bundle lists only itself.
+  void flush_own_requests() { flush_requests(Visited{{}, id()}); }
   void flush_responses();
 
+  /// Trace lines are formatted only when this is true (tracing is off in
+  /// every measured run, so the hot path builds no strings).
+  [[nodiscard]] bool tracing() const {
+    return trace_ != nullptr && trace_->enabled() && network_ != nullptr;
+  }
+  /// Precondition: tracing().
   void trace(const std::string& what);
+  /// Recomputes the cached mark; call after every change to my_vector_.
+  void update_mark() { mark_ = mark_fn_(my_vector_); }
 
   // -- configuration ----------------------------------------------------------
   LassConfig cfg_;
@@ -127,25 +181,33 @@ class LassNode final : public AllocatorNode {
   // Per-site memory budget (DESIGN.md §13): tok_dir_ and my_vector_ stay
   // dense O(M) — M is the paper-fixed resource count (80), independent of
   // N. Everything that used to be O(N) or O(M x heavy) is sparse: token
-  // snapshots materialize on first touch, the request history and the
+  // snapshots and request histories materialize on first touch, the
   // aggregation buffers only hold live entries.
   ProcessState state_ = ProcessState::kIdle;
   std::vector<SiteId> tok_dir_;        // father per resource; kNoSite = root
   CounterVector my_vector_;            // counters of the current request
-  core::FlatMap<ResourceId, LassToken, 1> last_tok_;  // lazy token snapshots
+  double mark_ = 0.0;                  // mark_fn_(my_vector_), kept current
   ResourceSet t_required_;             // current request (== current_)
   ResourceSet t_owned_;                // owned tokens
   ResourceSet cnt_needed_;             // counters not yet received
-  core::FlatMap<ResourceId, core::SmallVector<ReqItem, 1>, 1>
-      pending_req_;                    // local request history, sparse
   ResourceSet t_lent_;                 // resources lent out
   bool loan_asked_ = false;
   bool single_res_registered_ = false;  // §4.6.1 bookkeeping
 
+  // -- per-resource index (DESIGN.md §13) ------------------------------------
+  // One Slot per resource, allocated on the site's first touch of any
+  // resource; a site that never touches one pays three empty vectors. The
+  // pools only grow (at most M entries each), so a lookup is two array
+  // reads and nothing ever shifts. 16-bit slots keep a touched site's index
+  // at 4·M bytes.
+  std::vector<Slot> slots_;
+  std::vector<LassToken> toks_;   // token snapshots
+  std::vector<History> pending_;  // request histories
+
   // -- aggregation buffers (sorted by destination = std::map send order) ------
-  core::FlatMap<SiteId, core::SmallVector<ReqItem, 2>, 2> req_buf_;
-  core::FlatMap<SiteId, core::SmallVector<CounterItem, 2>, 2> cnt_buf_;
-  core::FlatMap<SiteId, core::SmallVector<LassToken, 1>, 1> tok_buf_;
+  core::FlatMap<SiteId, ReqItems, 2> req_buf_;
+  core::FlatMap<SiteId, CounterItems, 2> cnt_buf_;
+  core::FlatMap<SiteId, TokenItems, 1> tok_buf_;
 
   // -- stats -------------------------------------------------------------------
   std::uint64_t loans_used_ = 0;

@@ -35,7 +35,7 @@ bool SortedRequestQueue::remove_site(SiteId site) {
 
 void SortedRequestQueue::prune_obsolete(const SiteRequestIds& last_cs) {
   auto it = std::remove_if(items_.begin(), items_.end(), [&](const ReqItem& i) {
-    return i.id <= id_of(last_cs, i.sinit);
+    return i.id <= last_cs.get(i.sinit);
   });
   items_.erase(it, items_.end());
 }

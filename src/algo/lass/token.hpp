@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "core/flat_map.hpp"
 #include "core/mark.hpp"
@@ -24,13 +25,40 @@
 namespace mra::algo::lass {
 
 /// Sparse per-site request-id map; sites never recorded read as id 0,
-/// matching the dense vector's initial state.
-using SiteRequestIds = core::FlatMap<SiteId, RequestId, 2>;
+/// matching the dense vector's initial state. Sites and ids sit in two
+/// parallel arrays sorted by site, so a lookup binary-searches packed 4-byte
+/// site ids (two cache lines with 32 sites recorded) and reads one id; an
+/// entry costs 12 bytes instead of a padded 16-byte pair.
+class SiteRequestIds {
+ public:
+  [[nodiscard]] bool empty() const { return sites_.empty(); }
+  [[nodiscard]] std::size_t size() const { return sites_.size(); }
 
-[[nodiscard]] inline RequestId id_of(const SiteRequestIds& ids, SiteId site) {
-  auto it = ids.find(site);
-  return it == ids.end() ? 0 : it->second;
-}
+  /// The id recorded for `site`, 0 when none is.
+  [[nodiscard]] RequestId get(SiteId site) const {
+    const std::size_t i = index(site);
+    return i < sites_.size() && sites_[i] == site ? ids_[i] : 0;
+  }
+
+  /// std::map semantics: records id 0 for `site` on first access.
+  RequestId& operator[](SiteId site) {
+    const std::size_t i = index(site);
+    if (i == sites_.size() || sites_[i] != site) {
+      sites_.insert(sites_.begin() + i, site);
+      ids_.insert(ids_.begin() + i, 0);
+    }
+    return ids_[i];
+  }
+
+ private:
+  [[nodiscard]] std::size_t index(SiteId site) const {
+    return core::branchless_lower_bound(
+        sites_.data(), sites_.size(), [site](SiteId s) { return s < site; });
+  }
+
+  core::SmallVector<SiteId, 2> sites_;
+  core::SmallVector<RequestId, 2> ids_;
+};
 
 /// The three request message types (§4.2).
 enum class ReqType : std::uint8_t {
@@ -98,7 +126,8 @@ class SortedRequestQueue {
 
   [[nodiscard]] bool contains_site(SiteId site) const;
 
-  void clear() { items_.clear(); }
+  /// Moves every entry out, leaving the queue empty.
+  [[nodiscard]] Items take_items() { return std::move(items_); }
 
   [[nodiscard]] std::size_t wire_size() const {
     std::size_t s = 4;
@@ -125,10 +154,10 @@ struct LassToken {
   LassToken(ResourceId resource, int sites) : r(resource), num_sites(sites) {}
 
   [[nodiscard]] RequestId last_req_cnt(SiteId site) const {
-    return id_of(req_cnt_ids, site);
+    return req_cnt_ids.get(site);
   }
   [[nodiscard]] RequestId last_cs(SiteId site) const {
-    return id_of(cs_ids, site);
+    return cs_ids.get(site);
   }
   void set_last_req_cnt(SiteId site, RequestId id) { req_cnt_ids[site] = id; }
   void set_last_cs(SiteId site, RequestId id) { cs_ids[site] = id; }
@@ -140,5 +169,7 @@ struct LassToken {
            wqueue.wire_size() + wloan.wire_size();
   }
 };
+// Nodes pool token snapshots in a std::vector: growth must move, not copy.
+static_assert(std::is_nothrow_move_constructible_v<LassToken>);
 
 }  // namespace mra::algo::lass

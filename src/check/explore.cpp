@@ -330,7 +330,7 @@ void neighborhood_search(FoundViolation& found,
                                variants[j].bound, oracle)
                     ? 1
                     : 0;
-      return experiment::ExperimentResult{};
+      return experiment::ExperimentResult();
     });
   }
   (void)experiment::run_sweep(jobs,
@@ -406,7 +406,7 @@ ExploreReport explore(const ExploreConfig& config) {
         if (config.progress != nullptr) {
           config.progress->runs_done.fetch_add(1, std::memory_order_relaxed);
         }
-        return experiment::ExperimentResult{};
+        return experiment::ExperimentResult();
       });
     }
     (void)experiment::run_sweep(
@@ -754,7 +754,7 @@ ExploreReport explore_mutex(const MutexExploreConfig& config) {
         if (config.progress != nullptr) {
           config.progress->runs_done.fetch_add(1, std::memory_order_relaxed);
         }
-        return experiment::ExperimentResult{};
+        return experiment::ExperimentResult();
       });
     }
     (void)experiment::run_sweep(
@@ -1194,7 +1194,7 @@ ExploreReport explore_cm_ring(const CmRingExploreConfig& config) {
         if (config.progress != nullptr) {
           config.progress->runs_done.fetch_add(1, std::memory_order_relaxed);
         }
-        return experiment::ExperimentResult{};
+        return experiment::ExperimentResult();
       });
     }
     (void)experiment::run_sweep(

@@ -25,6 +25,23 @@
 
 namespace mra::core {
 
+/// std::lower_bound's position in [data, data + n) — the first element for
+/// which `before(element)` is false. The halving step is a conditional move
+/// rather than a branch on the comparison, so lookups with unpredictable
+/// keys (every LASS obsolescence test) do not pay a mispredict per step.
+template <typename T, typename Before>
+[[nodiscard]] std::size_t branchless_lower_bound(const T* data, std::size_t n,
+                                                 Before before) {
+  if (n == 0) return 0;
+  const T* base = data;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = before(base[half]) ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - data) + (before(*base) ? 1 : 0);
+}
+
 template <typename K, typename V, std::size_t InlineN = 4>
 class FlatMap {
  public:
@@ -102,14 +119,15 @@ class FlatMap {
 
  private:
   [[nodiscard]] iterator lower_bound(const K& key) {
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), key,
-        [](const value_type& e, const K& k) { return e.first < k; });
+    return entries_.begin() + lower_bound_index(key);
   }
   [[nodiscard]] const_iterator lower_bound(const K& key) const {
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), key,
-        [](const value_type& e, const K& k) { return e.first < k; });
+    return entries_.begin() + lower_bound_index(key);
+  }
+  [[nodiscard]] std::size_t lower_bound_index(const K& key) const {
+    return branchless_lower_bound(
+        entries_.data(), entries_.size(),
+        [&key](const value_type& e) { return e.first < key; });
   }
 
   storage_type entries_;

@@ -50,15 +50,7 @@ std::uint64_t count_failed(const std::vector<std::string>& payloads) {
   return failed;
 }
 
-}  // namespace
-
-int run_coordinator(const GridSpec& grid, const CoordinatorOptions& opts) {
-  grid.validate();
-  if (opts.spool.empty()) {
-    std::cerr << "fabric: the coordinator needs --spool (checkpoint store)\n";
-    return 2;
-  }
-
+int coordinate(const GridSpec& grid, const CoordinatorOptions& opts) {
   Manifest manifest;
   manifest.grid = grid;
   manifest.chunk = opts.chunk;
@@ -170,6 +162,22 @@ int run_coordinator(const GridSpec& grid, const CoordinatorOptions& opts) {
               << opts.out_path << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int run_coordinator(const GridSpec& grid, const CoordinatorOptions& opts) {
+  grid.validate();
+  if (opts.spool.empty()) {
+    std::cerr << "fabric: the coordinator needs --spool (checkpoint store)\n";
+    return 2;
+  }
+  try {
+    return coordinate(grid, opts);
+  } catch (const std::exception& e) {
+    std::cerr << "fabric: coordinator failed: " << e.what() << "\n";
+    return 2;
+  }
 }
 
 }  // namespace mra::fabric

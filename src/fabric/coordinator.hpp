@@ -9,6 +9,7 @@
 // costs at most the leases in flight, never correctness.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -25,12 +26,16 @@ struct CoordinatorOptions {
   double poll_interval_sec = 0.2;
   std::string out_path;       ///< merged report (empty = stdout)
   std::string progress_path;  ///< non-empty: obs::Heartbeat progress file
-  int* bound_port_out = nullptr;  ///< test hook: receives the TCP port
+  /// Test hook: receives the TCP port. Atomic because the caller's other
+  /// threads (in-process workers) wait on it while the coordinator runs.
+  std::atomic<int>* bound_port_out = nullptr;
 };
 
 /// Runs the coordinator to completion. Exit codes: 0 merged output written;
 /// 1 at least one job failed (lowest index reported on stderr); 2 usage /
-/// spool-state error (manifest mismatch, checkpoint without --resume).
+/// spool-state error (manifest mismatch, checkpoint without --resume) or a
+/// transport / spool I/O failure (reported on stderr, never thrown; an
+/// invalid grid still throws std::invalid_argument).
 [[nodiscard]] int run_coordinator(const GridSpec& grid,
                                   const CoordinatorOptions& opts);
 

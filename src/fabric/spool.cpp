@@ -5,7 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <memory>
 #include <stdexcept>
 #include <system_error>
 
@@ -14,6 +14,14 @@
 namespace mra::fabric {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+}  // namespace
 
 std::vector<Lease> partition_leases(std::uint64_t jobs, std::uint64_t chunk) {
   if (chunk == 0) {
@@ -66,18 +74,26 @@ void write_file_atomic(const std::string& path, std::string_view content,
 }
 
 std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::error_code ec;
-    if (!fs::exists(path, ec)) return std::nullopt;
-    throw std::runtime_error("spool: cannot open '" + path + "' for read");
+  // "Absent" is the open's own verdict (ENOENT). A second existence check
+  // would race a peer's rename: the file can land between the two calls.
+  const std::unique_ptr<std::FILE, FileCloser> f(
+      std::fopen(path.c_str(), "rb"));
+  if (f == nullptr) {
+    const std::error_code ec(errno, std::generic_category());
+    if (ec == std::errc::no_such_file_or_directory) return std::nullopt;
+    throw std::runtime_error("spool: cannot open '" + path +
+                             "' for read: " + ec.message());
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
+  std::string text;
+  char buf[8192];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f.get())) > 0) {
+    text.append(buf, n);
+  }
+  if (std::ferror(f.get()) != 0) {
     throw std::runtime_error("spool: read error on '" + path + "'");
   }
-  return buf.str();
+  return text;
 }
 
 void append_checkpoint(const SpoolPaths& paths, const Lease& lease) {

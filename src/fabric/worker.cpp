@@ -45,12 +45,7 @@ std::unique_ptr<Transport> make_transport(const WorkerOptions& opts,
   return make_tcp_worker(host, port, name, timing);
 }
 
-}  // namespace
-
-int run_worker(const WorkerOptions& opts) {
-  std::string fallback_name("w");
-  fallback_name += std::to_string(::getpid());
-  const std::string& name = opts.name.empty() ? fallback_name : opts.name;
+int work(const WorkerOptions& opts, const std::string& name) {
   const TransportTiming timing{opts.lease_timeout_sec, opts.poll_interval_sec};
 
   std::unique_ptr<Transport> transport;
@@ -123,6 +118,23 @@ int run_worker(const WorkerOptions& opts) {
     if (!lost) transport->submit(result);
   }
   return 0;
+}
+
+}  // namespace
+
+int run_worker(const WorkerOptions& opts) {
+  std::string fallback_name("w");
+  fallback_name += std::to_string(::getpid());
+  const std::string& name = opts.name.empty() ? fallback_name : opts.name;
+  try {
+    return work(opts, name);
+  } catch (const std::exception& e) {
+    // A transport or spool I/O failure ends this worker, not the process;
+    // another worker steals its lease once the claim goes stale.
+    std::cerr << "fabric: worker '" << name << "' failed: " << e.what()
+              << "\n";
+    return 1;
+  }
 }
 
 }  // namespace mra::fabric

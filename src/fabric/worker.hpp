@@ -23,7 +23,8 @@ struct WorkerOptions {
 };
 
 /// Runs jobs until the grid is finished (or the coordinator goes away).
-/// Exit codes: 0 done; 1 setup failure (no manifest, bad connect string).
+/// Exit codes: 0 done; 1 setup failure (no manifest, bad connect string) or
+/// a transport / spool I/O failure (reported on stderr, never thrown).
 [[nodiscard]] int run_worker(const WorkerOptions& opts);
 
 }  // namespace mra::fabric

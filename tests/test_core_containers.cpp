@@ -5,6 +5,7 @@
 // byte-identical across the std::map -> FlatMap migration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -122,6 +123,22 @@ TEST(FlatMap, SpillsToHeapBeyondInlineCapacity) {
   m[4] = 4;
   EXPECT_FALSE(m.inline_storage());
   for (int i = 0; i < 5; ++i) EXPECT_EQ(m.at(i), i);
+}
+
+TEST(FlatMap, BranchlessLowerBoundMatchesStd) {
+  // Every size up to a few spills, every probe between, below and above the
+  // (even, so absent odd keys fall between) stored keys.
+  for (int n = 0; n <= 40; ++n) {
+    std::vector<int> keys;
+    for (int i = 0; i < n; ++i) keys.push_back(2 * i);
+    for (int probe = -1; probe <= 2 * n; ++probe) {
+      const std::size_t got = mra::core::branchless_lower_bound(
+          keys.data(), keys.size(), [probe](int k) { return k < probe; });
+      const auto want = std::lower_bound(keys.begin(), keys.end(), probe);
+      EXPECT_EQ(got, static_cast<std::size_t>(want - keys.begin()))
+          << "n=" << n << " probe=" << probe;
+    }
+  }
 }
 
 TEST(FreeListPool, RecyclesBlocksInLifoOrder) {

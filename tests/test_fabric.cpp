@@ -293,12 +293,16 @@ TEST(FabricTransport, TcpLeaseReissueAfterTimeout) {
 
   // The coordinator endpoint only serves inside poll(); pump it from a
   // background thread like run_coordinator's loop does.
+  // `collected` belongs to the pump until join(); the test thread only
+  // reads the atomic count before then.
   std::atomic<bool> stop{false};
+  std::atomic<std::size_t> collected_count{0};
   std::vector<LeaseResult> collected;
   std::thread pump([&] {
     while (!stop.load()) {
       for (LeaseResult& r : coordinator->poll()) {
         collected.push_back(std::move(r));
+        collected_count.store(collected.size());
       }
     }
   });
@@ -329,7 +333,7 @@ TEST(FabricTransport, TcpLeaseReissueAfterTimeout) {
   result.lease = *lease;
   result.payloads = {"{\"error\":\"a\"}", "{\"error\":\"b\"}"};
   dying->submit(result);
-  for (int i = 0; i < 100 && collected.empty(); ++i) {
+  for (int i = 0; i < 100 && collected_count.load() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   stop.store(true);
@@ -347,7 +351,7 @@ std::string run_fabric(const GridSpec& grid, const std::string& spool,
   copts.chunk = chunk;
   copts.poll_interval_sec = 0.01;
   copts.out_path = spool + "/merged.json";
-  int port = -1;
+  std::atomic<int> port{-1};
   if (tcp) {
     copts.listen_port = 0;
     copts.bound_port_out = &port;
@@ -368,7 +372,7 @@ std::string run_fabric(const GridSpec& grid, const std::string& spool,
         while (port < 0) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
-        wopts.connect = "127.0.0.1:" + std::to_string(port);
+        wopts.connect = "127.0.0.1:" + std::to_string(port.load());
       } else {
         wopts.spool = spool;
       }

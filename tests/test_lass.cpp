@@ -3,12 +3,17 @@
 // token-conservation invariants.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 
+#include "algo/factory.hpp"
 #include "algo/lass/node.hpp"
+#include "check/event.hpp"
 #include "experiment/experiment.hpp"
 #include "harness.hpp"
 #include "net/network.hpp"
+#include "sim/random.hpp"
 
 namespace mra::algo::lass {
 namespace {
@@ -293,10 +298,124 @@ TEST(LassNode, MarkPolicyChangesSchedule) {
               avg.waiting_mean_ms != sum.waiting_mean_ms);
 }
 
+/// True when `t` is field-for-field the token a fresh LassToken(r, n) is.
+bool is_initial_token(const LassToken& t, ResourceId r, int n) {
+  return t.r == r && t.num_sites == n && t.counter == 1 &&
+         t.req_cnt_ids.empty() && t.cs_ids.empty() && t.wqueue.empty() &&
+         t.wloan.empty() && t.lender == kNoSite;
+}
+
+/// At every observer hook (each send, delivery, request, grant, release and
+/// clock advance), checks every node: the cached mark is bit-equal to the
+/// paper's A recomputed from the counter vector, and a resource no request
+/// names still reads as its initial token.
+class MarkCacheProbe final : public check::Observer {
+ public:
+  MarkCacheProbe(std::vector<const LassNode*> nodes, ResourceId untouched,
+                 int num_sites)
+      : nodes_(std::move(nodes)), untouched_(untouched), n_(num_sites) {}
+
+  void on_event(const check::Event& /*event*/) override { check(); }
+  void on_advance(sim::SimTime /*now*/) override { check(); }
+
+  [[nodiscard]] std::uint64_t checks() const { return checks_; }
+  [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
+
+ private:
+  void check() {
+    ++checks_;
+    for (std::size_t s = 0; s < nodes_.size(); ++s) {
+      const LassNode& node = *nodes_[s];
+      const double cached = node.current_mark();
+      const double fresh = average_non_zero(node.counter_vector());
+      const bool mark_ok = std::bit_cast<std::uint64_t>(cached) ==
+                           std::bit_cast<std::uint64_t>(fresh);
+      const bool token_ok =
+          is_initial_token(node.token_snapshot(untouched_), untouched_, n_);
+      if (mark_ok && token_ok) continue;
+      if (mismatches_++ == 0) {
+        ADD_FAILURE() << "site " << s << " at check " << checks_
+                      << ": cached mark " << cached << " vs A(v) " << fresh
+                      << (token_ok ? "" : "; untouched token changed");
+      }
+    }
+  }
+
+  std::vector<const LassNode*> nodes_;
+  ResourceId untouched_;
+  int n_;
+  std::uint64_t checks_ = 0;
+  std::uint64_t mismatches_ = 0;
+};
+
+TEST(LassNode, CachedMarkMatchesCounterVectorAtEveryHook) {
+  // LASS with loan, N=8, M=12, requests of 1..4 resources drawn from
+  // [0, M-1): resource M-1 is never requested, so no site ever touches it.
+  constexpr int kSites = 8;
+  constexpr int kResources = 12;
+  constexpr int kPhi = 4;
+  constexpr int kRequestsPerSite = 40;
+  algo::SystemConfig sys;
+  sys.algorithm = algo::Algorithm::kLassWithLoan;
+  sys.num_sites = kSites;
+  sys.num_resources = kResources;
+  sys.seed = 21;
+  auto system = algo::AllocationSystem::create(sys);
+  system->start();
+  sim::Simulator& sim = system->simulator();
+
+  std::vector<const LassNode*> nodes;
+  for (SiteId s = 0; s < kSites; ++s) {
+    nodes.push_back(&dynamic_cast<const LassNode&>(system->node(s)));
+  }
+  MarkCacheProbe probe(nodes, kResources - 1, kSites);
+  sim.set_observer(&probe);
+  system->network().set_observer(&probe);
+  for (SiteId s = 0; s < kSites; ++s) system->node(s).set_observer(&probe);
+
+  sim::Rng rng(sys.seed);
+  std::vector<int> remaining(kSites, kRequestsPerSite);
+  std::uint64_t completed = 0;
+  std::function<void(SiteId)> issue = [&](SiteId s) {
+    if (remaining[static_cast<std::size_t>(s)]-- <= 0) return;
+    ResourceSet want(kResources);
+    const auto size = static_cast<std::size_t>(rng.uniform_int(1, kPhi));
+    while (want.size() < size) {
+      want.insert(static_cast<ResourceId>(rng.uniform_int(0, kResources - 2)));
+    }
+    system->node(s).request(want);
+  };
+  for (SiteId s = 0; s < kSites; ++s) {
+    system->node(s).set_grant_callback([&, s](RequestId) {
+      sim.schedule_in(sim::from_ms(0.5), [&, s]() {
+        ++completed;
+        system->node(s).release();
+        sim.schedule_in(sim::from_ms(rng.uniform_real(0.0, 1.0)),
+                        [&, s]() { issue(s); });
+      });
+    });
+    sim.schedule_in(sim::from_ms(rng.uniform_real(0.0, 1.0)),
+                    [&, s]() { issue(s); });
+  }
+  sim.run();
+
+  EXPECT_EQ(completed, static_cast<std::uint64_t>(kSites * kRequestsPerSite));
+  EXPECT_GT(probe.checks(), 1000u);
+  EXPECT_EQ(probe.mismatches(), 0u);
+  std::uint64_t loans = 0;
+  for (const LassNode* node : nodes) loans += node->loans_used();
+  EXPECT_GT(loans, 0u) << "the loan path must be exercised too";
+  for (const LassNode* node : nodes) {
+    EXPECT_EQ(node->current_mark(), 0.0) << "idle sites hold no mark";
+  }
+}
+
 TEST(LassNode, InvalidConfigThrows) {
   LassConfig cfg;
   EXPECT_THROW(LassNode{cfg}, std::invalid_argument);
   cfg.num_sites = 2;
+  EXPECT_THROW(LassNode{cfg}, std::invalid_argument);
+  cfg.num_resources = 65536;  // beyond the 16-bit per-resource index
   EXPECT_THROW(LassNode{cfg}, std::invalid_argument);
 }
 
