@@ -144,7 +144,7 @@ class PingSite final : public net::Node {
   std::uint64_t budget = 0;
   std::uint64_t* sent = nullptr;
 
-  void on_message(SiteId /*from*/, const net::Message& msg) override {
+  void on_message(SiteId /*from*/, net::Message& msg) override {
     const auto& ping = static_cast<const PingMsg&>(msg);
     if (*sent >= budget) return;
     ++*sent;

@@ -52,7 +52,7 @@ struct PingMsg final : net::Message {
 class PingNode final : public net::Node {
  public:
   int received = 0;
-  void on_message(SiteId from, const net::Message& /*msg*/) override {
+  void on_message(SiteId from, net::Message& /*msg*/) override {
     ++received;
     if (received < 10'000) {
       network_->send(id(), from, std::make_unique<PingMsg>());

@@ -125,7 +125,7 @@ void BouabdallahLaforestNode::send_resource_token(SiteId dst, ResourceId r) {
   network_->send(id(), dst, std::move(msg));
 }
 
-void BouabdallahLaforestNode::on_message(SiteId from, const net::Message& msg) {
+void BouabdallahLaforestNode::on_message(SiteId from, net::Message& msg) {
   if (const auto* req = dynamic_cast<const mutex::NtRequestMsg*>(&msg)) {
     control_->on_request(*req);
     return;

@@ -81,7 +81,7 @@ class BouabdallahLaforestNode final : public AllocatorNode {
   [[nodiscard]] ProcessState state() const override { return state_; }
 
   void on_start() override;
-  void on_message(SiteId from, const net::Message& msg) override;
+  void on_message(SiteId from, net::Message& msg) override;
 
   // Introspection for tests.
   [[nodiscard]] const ResourceSet& owned_tokens() const { return owned_; }

@@ -72,7 +72,7 @@ void CentralNode::do_release() {
   current_.clear();
 }
 
-void CentralNode::on_message(SiteId /*from*/, const net::Message& /*msg*/) {
+void CentralNode::on_message(SiteId /*from*/, net::Message& /*msg*/) {
   assert(false && "CentralNode communicates via the coordinator, not messages");
 }
 

@@ -64,7 +64,7 @@ class CentralNode final : public AllocatorNode {
   void do_release() override;
   [[nodiscard]] ProcessState state() const override { return state_; }
 
-  void on_message(SiteId from, const net::Message& msg) override;
+  void on_message(SiteId from, net::Message& msg) override;
 
  private:
   friend class CentralCoordinator;

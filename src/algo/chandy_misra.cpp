@@ -198,7 +198,7 @@ void ChandyMisraNode::on_fork_token(SiteId from) {
   }
 }
 
-void ChandyMisraNode::on_message(SiteId from, const net::Message& msg) {
+void ChandyMisraNode::on_message(SiteId from, net::Message& msg) {
   if (dynamic_cast<const ForkTokenMsg*>(&msg) != nullptr) {
     on_fork_token(from);
     return;

@@ -68,7 +68,7 @@ class ChandyMisraNode final : public AllocatorNode {
   [[nodiscard]] ProcessState state() const override { return state_; }
 
   void on_start() override;
-  void on_message(SiteId from, const net::Message& msg) override;
+  void on_message(SiteId from, net::Message& msg) override;
 
   [[nodiscard]] bool holds_bottle(ResourceId r) const;
 

@@ -93,7 +93,7 @@ void IncrementalNode::do_release() {
   current_.clear();
 }
 
-void IncrementalNode::on_message(SiteId /*from*/, const net::Message& msg) {
+void IncrementalNode::on_message(SiteId /*from*/, net::Message& msg) {
   if (const auto* req = dynamic_cast<const mutex::NtRequestMsg*>(&msg)) {
     locks_[static_cast<std::size_t>(req->instance)]->on_request(*req);
     return;

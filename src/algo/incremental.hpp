@@ -33,7 +33,7 @@ class IncrementalNode final : public AllocatorNode {
   [[nodiscard]] ProcessState state() const override { return state_; }
 
   void on_start() override;
-  void on_message(SiteId from, const net::Message& msg) override;
+  void on_message(SiteId from, net::Message& msg) override;
 
   /// Resources whose lock this site currently holds in CS-acquisition order.
   [[nodiscard]] const std::vector<ResourceId>& acquired() const {

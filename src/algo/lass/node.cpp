@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 
 #include "check/mutant.hpp"
@@ -67,16 +68,14 @@ ReqItem LassNode::my_res_request(ResourceId r) const {
 
 bool LassNode::is_obsolete(const ReqItem& req) const {
   // §4.2.1: a request is obsolete when the (locally known) token state shows
-  // it has already been served. last_cs / last_req_cnt only grow, so a stale
+  // it has already been served. The recorded ids only grow, so a stale
   // local snapshot can only under-approximate obsolescence — safe. An
   // unmaterialized token reads all-zero and ids start at 1: never obsolete.
   const LassToken* t = find_tok(req.r);
   if (t == nullptr) return false;
-  if (req.id <= t->last_cs(req.sinit)) return true;
-  if (req.type == ReqType::kCnt && req.id <= t->last_req_cnt(req.sinit)) {
-    return true;
-  }
-  return false;
+  const SiteIds ids = t->ids.get(req.sinit);
+  return req.id <= ids.cs ||
+         (req.type == ReqType::kCnt && req.id <= ids.req_cnt);
 }
 
 // ---------------------------------------------------------------------------
@@ -137,7 +136,7 @@ void LassNode::do_release() {
   t_required_.for_each([&](ResourceId r) {
     assert(owns(r));
     LassToken& t = tok(r);
-    t.set_last_cs(id(), request_seq_);
+    t.ids[id()].cs = request_seq_;
     const SiteId lender = t.lender;
     if (lender != kNoSite && lender != id()) {
       // Borrowed token: return it straight to the lender (line 95-98). Any
@@ -211,7 +210,7 @@ void LassNode::process_cnt_needed_empty() {
 // canLend (Annex A, lines 117-132)
 // ---------------------------------------------------------------------------
 bool LassNode::can_lend(const ReqItem& req) const {
-  if (!req.missing.subset_of(t_owned_)) return false;
+  if (!req.missing->subset_of(t_owned_)) return false;
   // None of our owned tokens may itself be borrowed. Owned tokens are
   // always materialized (ownership is only gained in on_start/process_update,
   // both of which materialize), so a missing snapshot means not borrowed.
@@ -244,11 +243,11 @@ void LassNode::process_req_loan(const ReqItem& req) {
   if (req.sinit == id()) return;  // our own loan request came home
   if (can_lend(req)) {
     if (tracing()) {
-      trace("lend " + req.missing.to_string() + " to s" +
+      trace("lend " + req.missing->to_string() + " to s" +
             std::to_string(req.sinit));
     }
-    t_lent_ = req.missing;
-    req.missing.for_each([&](ResourceId rp) {
+    t_lent_ = *req.missing;
+    req.missing->for_each([&](ResourceId rp) {
       tok(rp).lender = id();
       tok(rp).wqueue.remove_site(req.sinit);  // it gets the token directly
       send_token(req.sinit, rp);
@@ -265,10 +264,10 @@ void LassNode::process_req_loan(const ReqItem& req) {
 // ---------------------------------------------------------------------------
 // processUpdate (Annex A, lines 133-158)
 // ---------------------------------------------------------------------------
-void LassNode::process_update(const LassToken& t) {
+void LassNode::process_update(LassToken&& t) {
   const ResourceId r = t.r;
   LassToken& mine = tok(r);
-  mine = t;
+  mine = std::move(t);
   t_owned_.insert(r);
   tok_dir(r) = kNoSite;
 
@@ -289,8 +288,8 @@ void LassNode::process_update(const LassToken& t) {
   // Drop queue entries that were satisfied in the meantime, including our
   // own: receiving the token satisfies whatever claim we had queued in it
   // (a stale self-entry would otherwise be "served" by sending to self).
-  mine.wqueue.prune_obsolete(mine.cs_ids);
-  mine.wloan.prune_obsolete(mine.cs_ids);
+  mine.wqueue.prune_obsolete(mine.ids);
+  mine.wloan.prune_obsolete(mine.ids);
   mine.wqueue.remove_site(id());
   mine.wloan.remove_site(id());
 
@@ -318,7 +317,7 @@ void LassNode::process_update(const LassToken& t) {
 
 CounterValue LassNode::assign_counter(const ReqItem& req) {
   LassToken& t = tok(req.r);
-  t.set_last_req_cnt(req.sinit, req.id);
+  t.ids[req.sinit].req_cnt = req.id;
   if (!check::mutant_enabled(check::Mutant::kLassSkipCounterReply)) {
     // Seeded bug (when skipped): the counter-update reply never leaves, so
     // the requester waits in waitS forever (deadlock/starvation oracles).
@@ -478,10 +477,12 @@ void LassNode::maybe_initiate_loan() {
       num_missing > static_cast<std::size_t>(cfg_.loan_threshold)) {
     return;
   }
-  const ResourceSet missing = t_required_.set_difference(t_owned_);
+  // One set per ask, shared by the ReqLoan items sent for it.
+  const auto missing = std::make_shared<const ResourceSet>(
+      t_required_.set_difference(t_owned_));
   loan_asked_ = true;
-  if (tracing()) trace("ask loan for " + missing.to_string());
-  missing.for_each([&](ResourceId r) {
+  if (tracing()) trace("ask loan for " + missing->to_string());
+  missing->for_each([&](ResourceId r) {
     ReqItem item;
     item.type = ReqType::kLoan;
     item.r = r;
@@ -497,7 +498,7 @@ void LassNode::maybe_initiate_loan() {
 // ---------------------------------------------------------------------------
 // Message dispatch
 // ---------------------------------------------------------------------------
-void LassNode::on_message(SiteId from, const net::Message& msg) {
+void LassNode::on_message(SiteId from, net::Message& msg) {
   if (const auto* reqs = dynamic_cast<const RequestBundleMsg*>(&msg)) {
     const Visited received{reqs->visited};
     for (const ReqItem& item : reqs->items) {
@@ -526,8 +527,9 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
     return;
   }
 
-  if (const auto* toks = dynamic_cast<const TokenBundleMsg*>(&msg)) {
-    for (const LassToken& t : toks->items) process_update(t);
+  if (auto* toks = dynamic_cast<TokenBundleMsg*>(&msg)) {
+    // The network destroys the message after delivery: take the tokens.
+    for (LassToken& t : toks->items) process_update(std::move(t));
 
     if (state_ == ProcessState::kWaitS || state_ == ProcessState::kWaitCS) {
       const bool premature =

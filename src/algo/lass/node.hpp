@@ -59,7 +59,7 @@ class LassNode final : public AllocatorNode {
   [[nodiscard]] ProcessState state() const override { return state_; }
 
   void on_start() override;
-  void on_message(SiteId from, const net::Message& msg) override;
+  void on_message(SiteId from, net::Message& msg) override;
 
   // Introspection for tests / invariant checks ------------------------------
   [[nodiscard]] const ResourceSet& owned_tokens() const { return t_owned_; }
@@ -147,7 +147,7 @@ class LassNode final : public AllocatorNode {
   void reply_counter(const ReqItem& req);
   void process_req_loan(const ReqItem& req);
   [[nodiscard]] bool can_lend(const ReqItem& req) const;
-  void process_update(const LassToken& t);
+  void process_update(LassToken&& t);
   void process_cnt_needed_empty();
   void serve_queues_after_token();
   void maybe_initiate_loan();

@@ -5,15 +5,16 @@
 // vectors (last ReqCnt served, last CS satisfied). Stored densely that is
 // 16 bytes x N sites x M resources per site — the ~1.3 MB/site blocker at
 // N = 1024. Both vectors start all-zero and only the handful of sites that
-// ever touched this token get non-zero entries, so they are stored as
-// sparse sorted maps: an absent site reads as 0, exactly the dense initial
-// value (request ids start at 1, so obsolescence tests on absent sites are
-// always false). `wire_size()` still charges the dense encoding — the
-// simulated message-byte accounting must not depend on the in-memory
-// representation.
+// ever touched this token get non-zero entries, so they are stored as one
+// sparse sorted map from site to both ids: an absent site reads as {0, 0},
+// exactly the dense initial value (request ids start at 1, so obsolescence
+// tests on absent sites are always false). `wire_size()` still charges the
+// dense encoding — the simulated message-byte accounting must not depend on
+// the in-memory representation.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 
 #include "core/flat_map.hpp"
@@ -24,28 +25,33 @@
 
 namespace mra::algo::lass {
 
-/// Sparse per-site request-id map; sites never recorded read as id 0,
-/// matching the dense vector's initial state. Sites and ids sit in two
-/// parallel arrays sorted by site, so a lookup binary-searches packed 4-byte
-/// site ids (two cache lines with 32 sites recorded) and reads one id; an
-/// entry costs 12 bytes instead of a padded 16-byte pair.
+/// The two Annex A ids a token records for one site.
+struct SiteIds {
+  RequestId req_cnt = 0;  ///< last ReqCnt id served
+  RequestId cs = 0;       ///< last satisfied CS id
+};
+
+/// Sparse per-site id map; sites never recorded read as {0, 0}, matching
+/// the dense vectors' initial state. Sites and id pairs sit in two parallel
+/// arrays sorted by site, so one obsolescence test binary-searches packed
+/// 4-byte site ids once and reads both ids of the hit.
 class SiteRequestIds {
  public:
   [[nodiscard]] bool empty() const { return sites_.empty(); }
   [[nodiscard]] std::size_t size() const { return sites_.size(); }
 
-  /// The id recorded for `site`, 0 when none is.
-  [[nodiscard]] RequestId get(SiteId site) const {
+  /// The ids recorded for `site`, {0, 0} when none are.
+  [[nodiscard]] SiteIds get(SiteId site) const {
     const std::size_t i = index(site);
-    return i < sites_.size() && sites_[i] == site ? ids_[i] : 0;
+    return i < sites_.size() && sites_[i] == site ? ids_[i] : SiteIds{};
   }
 
-  /// std::map semantics: records id 0 for `site` on first access.
-  RequestId& operator[](SiteId site) {
+  /// std::map semantics: records {0, 0} for `site` on first access.
+  SiteIds& operator[](SiteId site) {
     const std::size_t i = index(site);
     if (i == sites_.size() || sites_[i] != site) {
       sites_.insert(sites_.begin() + i, site);
-      ids_.insert(ids_.begin() + i, 0);
+      ids_.insert(ids_.begin() + i, SiteIds{});
     }
     return ids_[i];
   }
@@ -57,7 +63,7 @@ class SiteRequestIds {
   }
 
   core::SmallVector<SiteId, 2> sites_;
-  core::SmallVector<RequestId, 2> ids_;
+  core::SmallVector<SiteIds, 2> ids_;
 };
 
 /// The three request message types (§4.2).
@@ -77,13 +83,18 @@ enum class ReqType : std::uint8_t {
 }
 
 /// One request record; doubles as the entry type of wQueue/wLoan.
+///
+/// Records are copied on every hop (history, queues, aggregation buffers),
+/// so the layout is kept at 48 bytes: the ReqLoan-only `missing` set is
+/// shared by the items of one loan ask instead of being carried inline.
 struct ReqItem {
-  ReqType type = ReqType::kCnt;
+  double mark = 0.0;        ///< A(counter vector); meaningful for Res/Loan
+  RequestId id = 0;         ///< requester's CS request number
+  /// ReqLoan only: resources the requester misses (null otherwise).
+  std::shared_ptr<const ResourceSet> missing;
   ResourceId r = kNoResource;
   SiteId sinit = kNoSite;   ///< original requester
-  RequestId id = 0;         ///< requester's CS request number
-  double mark = 0.0;        ///< A(counter vector); meaningful for Res/Loan
-  ResourceSet missing;      ///< ReqLoan only: resources the requester misses
+  ReqType type = ReqType::kCnt;
   bool single_resource = false;  ///< §4.6.1: ReqCnt doubling as ReqRes
 
   /// Total order `/` (§3.3.2): (mark, site id) lexicographic.
@@ -92,7 +103,8 @@ struct ReqItem {
   }
 
   [[nodiscard]] std::size_t wire_size() const {
-    return 26 + (type == ReqType::kLoan ? (missing.universe_size() + 7) / 8 : 0);
+    return 26 +
+           (type == ReqType::kLoan ? (missing->universe_size() + 7) / 8 : 0);
   }
 };
 
@@ -120,9 +132,10 @@ class SortedRequestQueue {
   /// Removes any entry from `site`; returns true if one was removed.
   bool remove_site(SiteId site);
 
-  /// Drops entries already satisfied according to `last_cs` (id <= last_cs
-  /// of their site). Used to prune stale records when a token is received.
-  void prune_obsolete(const SiteRequestIds& last_cs);
+  /// Drops entries already satisfied according to `ids` (id <= the last
+  /// satisfied CS id of their site). Used to prune stale records when a
+  /// token is received.
+  void prune_obsolete(const SiteRequestIds& ids);
 
   [[nodiscard]] bool contains_site(SiteId site) const;
 
@@ -144,23 +157,13 @@ struct LassToken {
   ResourceId r = kNoResource;
   int num_sites = 0;             ///< dense extent, kept for wire accounting
   CounterValue counter = 1;      ///< next value to hand out
-  SiteRequestIds req_cnt_ids;    ///< sparse: last ReqCnt id served per site
-  SiteRequestIds cs_ids;         ///< sparse: last satisfied CS id per site
+  SiteRequestIds ids;            ///< sparse: last ReqCnt / CS ids per site
   SortedRequestQueue wqueue;     ///< pending ReqRes, `/`-ordered
   SortedRequestQueue wloan;      ///< pending ReqLoan, `/`-ordered
   SiteId lender = kNoSite;       ///< set while the token is lent
 
   LassToken() = default;
   LassToken(ResourceId resource, int sites) : r(resource), num_sites(sites) {}
-
-  [[nodiscard]] RequestId last_req_cnt(SiteId site) const {
-    return req_cnt_ids.get(site);
-  }
-  [[nodiscard]] RequestId last_cs(SiteId site) const {
-    return cs_ids.get(site);
-  }
-  void set_last_req_cnt(SiteId site, RequestId id) { req_cnt_ids[site] = id; }
-  void set_last_cs(SiteId site, RequestId id) { cs_ids[site] = id; }
 
   /// Wire bytes of the dense encoding (header + two full per-site id
   /// vectors + both queues) — identical to the pre-sparse layout.

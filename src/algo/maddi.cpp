@@ -133,7 +133,7 @@ void MaddiNode::do_release() {
   done.for_each([&](ResourceId r) { consider_grant(r); });
 }
 
-void MaddiNode::on_message(SiteId from, const net::Message& msg) {
+void MaddiNode::on_message(SiteId from, net::Message& msg) {
   if (const auto* req = dynamic_cast<const ReqMsg*>(&msg)) {
     clock_ = std::max(clock_, req->timestamp) + 1;
     req->resources.for_each([&](ResourceId r) {

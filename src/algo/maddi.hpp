@@ -74,7 +74,7 @@ class MaddiNode final : public AllocatorNode {
   [[nodiscard]] ProcessState state() const override { return state_; }
 
   void on_start() override;
-  void on_message(SiteId from, const net::Message& msg) override;
+  void on_message(SiteId from, net::Message& msg) override;
 
   [[nodiscard]] const ResourceSet& owned_tokens() const { return owned_; }
 

@@ -499,7 +499,7 @@ class MutexHost final : public net::Node {
   std::function<void()> on_granted;
   std::unique_ptr<Engine> engine;
 
-  void on_message(SiteId from, const net::Message& msg) override {
+  void on_message(SiteId from, net::Message& msg) override {
     (void)from;
     if constexpr (std::is_same_v<Engine, mutex::NaimiTrehelEngine<>>) {
       if (const auto* req = dynamic_cast<const mutex::NtRequestMsg*>(&msg)) {

@@ -14,9 +14,9 @@
 //
 // Deliberately minimal: the subset of the std::vector interface the
 // protocol layer uses (push_back/emplace_back, insert/erase by position,
-// iteration, indexing, clear). Elements may be non-trivial (ReqItem carries
-// a ResourceSet); moves are member-wise element moves, not buffer steals,
-// when the source is inline.
+// iteration, indexing, clear). Elements may be non-trivial (ReqItem holds a
+// shared_ptr to its loan set); moves are member-wise element moves, not
+// buffer steals, when the source is inline.
 #pragma once
 
 #include <algorithm>

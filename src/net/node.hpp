@@ -1,7 +1,8 @@
 // Base class for protocol participants.
 #pragma once
 
-#include <memory>
+#include <stdexcept>
+#include <utility>
 
 #include "core/types.hpp"
 #include "net/message.hpp"
@@ -23,7 +24,18 @@ class Node {
   [[nodiscard]] Network* network() const { return network_; }
 
   /// Called by the network when a message addressed to this node arrives.
-  virtual void on_message(SiteId from, const Message& msg) = 0;
+  /// The network owns `msg` and destroys it as soon as this returns, so a
+  /// node may move payload out of it (LASS takes its tokens this way).
+  /// The default forwards to the read-only overload below.
+  virtual void on_message(SiteId from, Message& msg) {
+    on_message(from, std::as_const(msg));
+  }
+
+  /// Read-only receive hook for nodes that never take payload out of a
+  /// message. Override exactly one of the two overloads.
+  virtual void on_message(SiteId /*from*/, const Message& /*msg*/) {
+    throw std::logic_error("net::Node: on_message is not overridden");
+  }
 
   /// Called once after every node is registered, before the first event.
   virtual void on_start() {}

@@ -3,13 +3,17 @@
 // token-conservation invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "algo/factory.hpp"
 #include "algo/lass/node.hpp"
 #include "check/event.hpp"
+#include "check/fanout.hpp"
+#include "check/monitor.hpp"
 #include "experiment/experiment.hpp"
 #include "harness.hpp"
 #include "net/network.hpp"
@@ -57,16 +61,40 @@ TEST(SortedRequestQueue, RemoveSiteAndPrune) {
   q.insert(res_item(0, 0, 3, 1.0));
   q.insert(res_item(0, 1, 5, 2.0));
   q.insert(res_item(0, 2, 1, 3.0));
+  q.insert(res_item(0, 3, 4, 4.0));
   EXPECT_TRUE(q.remove_site(1));
   EXPECT_FALSE(q.remove_site(1));
-  EXPECT_EQ(q.size(), 2u);
-  // last_cs: site 0 satisfied up to id 3 -> its entry (id 3) is obsolete.
-  // Sparse map: unlisted sites read as 0.
-  SiteRequestIds last_cs;
-  last_cs[0] = 3;
-  q.prune_obsolete(last_cs);
-  ASSERT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.size(), 3u);
+  // Site 0 is satisfied up to id 3 -> its entry (id 3) is obsolete. Site 3
+  // had a ReqCnt served up to id 7 but no CS satisfied: pruning reads only
+  // the CS id, so its entry (id 4) must survive.
+  SiteRequestIds ids;
+  ids[3].req_cnt = 7;
+  ids[0].cs = 3;
+  EXPECT_EQ(ids.size(), 2u);
+  EXPECT_EQ(ids.get(3).cs, 0);
+  EXPECT_EQ(ids.get(0).req_cnt, 0);
+  // Sparse map: unlisted sites read as {0, 0}.
+  const SiteIds absent = ids.get(2);
+  EXPECT_EQ(absent.req_cnt, 0);
+  EXPECT_EQ(absent.cs, 0);
+  q.prune_obsolete(ids);
+  ASSERT_EQ(q.size(), 2u);
   EXPECT_EQ(q.head().sinit, 2);
+  EXPECT_TRUE(q.contains_site(3));
+  EXPECT_FALSE(q.contains_site(0));
+}
+
+TEST(ReqItem, WireSizeDoesNotDependOnLayout) {
+  // net.bytes charges the logical encoding: 26 bytes per record plus, for a
+  // ReqLoan, a bitmap over the resource universe (M = 80 -> 10 bytes).
+  ReqItem loan = res_item(5, 1, 2, 3.0);
+  loan.type = ReqType::kLoan;
+  loan.missing = std::make_shared<const ResourceSet>(ResourceSet(80, {5, 9}));
+  EXPECT_EQ(loan.wire_size(), 36u);
+  EXPECT_EQ(res_item(5, 1, 2, 3.0).wire_size(), 26u);
+  // Records are copied on every hop: the loan set is shared, not inline.
+  EXPECT_LE(sizeof(ReqItem), 48u);
 }
 
 TEST(TotalOrder, PrecedesIsStrictTotalOrder) {
@@ -298,11 +326,58 @@ TEST(LassNode, MarkPolicyChangesSchedule) {
               avg.waiting_mean_ms != sum.waiting_mean_ms);
 }
 
+/// Every site of a started LASS system, for probes and end-of-run checks.
+std::vector<const LassNode*> lass_nodes(algo::AllocationSystem& system) {
+  std::vector<const LassNode*> nodes;
+  for (SiteId s = 0; s < system.network().node_count(); ++s) {
+    nodes.push_back(&dynamic_cast<const LassNode&>(system.node(s)));
+  }
+  return nodes;
+}
+
+/// Drives every site of a started system through `requests_per_site`
+/// requests of 1..phi resources drawn from [0, max_resource] out of
+/// `num_resources`: 0.5 ms in CS, then up to 1 ms of think time. Runs the
+/// simulation until it drains and returns the completed CS count.
+std::uint64_t run_random_requests(algo::AllocationSystem& system,
+                                  int num_resources, int phi,
+                                  ResourceId max_resource,
+                                  int requests_per_site, std::uint64_t seed) {
+  sim::Simulator& sim = system.simulator();
+  const int num_sites = system.network().node_count();
+  sim::Rng rng(seed);
+  std::vector<int> remaining(static_cast<std::size_t>(num_sites),
+                             requests_per_site);
+  std::uint64_t completed = 0;
+  std::function<void(SiteId)> issue = [&](SiteId s) {
+    if (remaining[static_cast<std::size_t>(s)]-- <= 0) return;
+    ResourceSet want(num_resources);
+    const auto size = static_cast<std::size_t>(rng.uniform_int(1, phi));
+    while (want.size() < size) {
+      want.insert(static_cast<ResourceId>(rng.uniform_int(0, max_resource)));
+    }
+    system.node(s).request(want);
+  };
+  for (SiteId s = 0; s < num_sites; ++s) {
+    system.node(s).set_grant_callback([&, s](RequestId) {
+      sim.schedule_in(sim::from_ms(0.5), [&, s]() {
+        ++completed;
+        system.node(s).release();
+        sim.schedule_in(sim::from_ms(rng.uniform_real(0.0, 1.0)),
+                        [&, s]() { issue(s); });
+      });
+    });
+    sim.schedule_in(sim::from_ms(rng.uniform_real(0.0, 1.0)),
+                    [&, s]() { issue(s); });
+  }
+  sim.run();
+  return completed;
+}
+
 /// True when `t` is field-for-field the token a fresh LassToken(r, n) is.
 bool is_initial_token(const LassToken& t, ResourceId r, int n) {
-  return t.r == r && t.num_sites == n && t.counter == 1 &&
-         t.req_cnt_ids.empty() && t.cs_ids.empty() && t.wqueue.empty() &&
-         t.wloan.empty() && t.lender == kNoSite;
+  return t.r == r && t.num_sites == n && t.counter == 1 && t.ids.empty() &&
+         t.wqueue.empty() && t.wloan.empty() && t.lender == kNoSite;
 }
 
 /// At every observer hook (each send, delivery, request, grant, release and
@@ -364,40 +439,14 @@ TEST(LassNode, CachedMarkMatchesCounterVectorAtEveryHook) {
   system->start();
   sim::Simulator& sim = system->simulator();
 
-  std::vector<const LassNode*> nodes;
-  for (SiteId s = 0; s < kSites; ++s) {
-    nodes.push_back(&dynamic_cast<const LassNode&>(system->node(s)));
-  }
+  const std::vector<const LassNode*> nodes = lass_nodes(*system);
   MarkCacheProbe probe(nodes, kResources - 1, kSites);
   sim.set_observer(&probe);
   system->network().set_observer(&probe);
   for (SiteId s = 0; s < kSites; ++s) system->node(s).set_observer(&probe);
 
-  sim::Rng rng(sys.seed);
-  std::vector<int> remaining(kSites, kRequestsPerSite);
-  std::uint64_t completed = 0;
-  std::function<void(SiteId)> issue = [&](SiteId s) {
-    if (remaining[static_cast<std::size_t>(s)]-- <= 0) return;
-    ResourceSet want(kResources);
-    const auto size = static_cast<std::size_t>(rng.uniform_int(1, kPhi));
-    while (want.size() < size) {
-      want.insert(static_cast<ResourceId>(rng.uniform_int(0, kResources - 2)));
-    }
-    system->node(s).request(want);
-  };
-  for (SiteId s = 0; s < kSites; ++s) {
-    system->node(s).set_grant_callback([&, s](RequestId) {
-      sim.schedule_in(sim::from_ms(0.5), [&, s]() {
-        ++completed;
-        system->node(s).release();
-        sim.schedule_in(sim::from_ms(rng.uniform_real(0.0, 1.0)),
-                        [&, s]() { issue(s); });
-      });
-    });
-    sim.schedule_in(sim::from_ms(rng.uniform_real(0.0, 1.0)),
-                    [&, s]() { issue(s); });
-  }
-  sim.run();
+  const std::uint64_t completed = run_random_requests(
+      *system, kResources, kPhi, kResources - 2, kRequestsPerSite, sys.seed);
 
   EXPECT_EQ(completed, static_cast<std::uint64_t>(kSites * kRequestsPerSite));
   EXPECT_GT(probe.checks(), 1000u);
@@ -407,6 +456,75 @@ TEST(LassNode, CachedMarkMatchesCounterVectorAtEveryHook) {
   EXPECT_GT(loans, 0u) << "the loan path must be exercised too";
   for (const LassNode* node : nodes) {
     EXPECT_EQ(node->current_mark(), 0.0) << "idle sites hold no mark";
+  }
+}
+
+/// The widest loan (lent resource count) any site holds at an observer hook.
+class LoanWidthProbe final : public check::Observer {
+ public:
+  explicit LoanWidthProbe(std::vector<const LassNode*> nodes)
+      : nodes_(std::move(nodes)) {}
+
+  void on_event(const check::Event& /*event*/) override { sample(); }
+  void on_advance(sim::SimTime /*now*/) override { sample(); }
+
+  [[nodiscard]] std::size_t widest() const { return widest_; }
+
+ private:
+  void sample() {
+    for (const LassNode* node : nodes_) {
+      widest_ = std::max(widest_, node->lent_resources().size());
+    }
+  }
+
+  std::vector<const LassNode*> nodes_;
+  std::size_t widest_ = 0;
+};
+
+TEST(LassNode, TwoResourceLoansKeepEveryOracleClean) {
+  // loan_threshold = 2: a site missing two tokens asks one loan, and both
+  // ReqLoan items share the same missing set. High load (N=8, M=6, up to
+  // 4 resources per request, think <= 1 ms) under the mutual-exclusion,
+  // deadlock and starvation oracles.
+  constexpr int kSites = 8;
+  constexpr int kResources = 6;
+  algo::SystemConfig sys;
+  sys.algorithm = algo::Algorithm::kLassWithLoan;
+  sys.num_sites = kSites;
+  sys.num_resources = kResources;
+  sys.loan_threshold = 2;
+  sys.seed = 3;
+  auto system = algo::AllocationSystem::create(sys);
+  system->start();
+
+  check::MonitorConfig mc;
+  mc.num_sites = kSites;
+  mc.num_resources = kResources;
+  check::Monitor monitor(mc);
+  const std::vector<const LassNode*> nodes = lass_nodes(*system);
+  LoanWidthProbe probe(nodes);
+  check::ObserverMux mux;
+  mux.add(monitor);
+  mux.add(probe);
+  mux.attach(*system);
+  monitor.bind_simulator(system->simulator());
+
+  constexpr int kRequestsPerSite = 60;
+  const std::uint64_t completed = run_random_requests(
+      *system, kResources, /*phi=*/4, kResources - 1, kRequestsPerSite,
+      sys.seed);
+  sim::Simulator& sim = system->simulator();
+  ASSERT_TRUE(sim.idle()) << "the run must drain to quiescence";
+  monitor.finalize(sim.now(), /*quiescent=*/true);
+
+  EXPECT_EQ(completed, static_cast<std::uint64_t>(kSites * kRequestsPerSite));
+  for (const check::Violation& v : monitor.violations()) {
+    ADD_FAILURE() << v.oracle << ": " << v.detail;
+  }
+  EXPECT_EQ(probe.widest(), 2u) << "no two-resource loan was granted";
+  for (const LassNode* node : nodes) {
+    EXPECT_EQ(node->state(), ProcessState::kIdle);
+    EXPECT_TRUE(node->lent_resources().empty());
   }
 }
 

@@ -24,7 +24,7 @@ class Host final : public net::Node {
   std::function<void()> on_granted;
   std::unique_ptr<Engine> engine;
 
-  void on_message(SiteId from, const net::Message& msg) override {
+  void on_message(SiteId from, net::Message& msg) override {
     if constexpr (std::is_same_v<Engine, NaimiTrehelEngine<>>) {
       if (const auto* req = dynamic_cast<const NtRequestMsg*>(&msg)) {
         engine->on_request(*req);
@@ -202,7 +202,7 @@ TEST(NaimiTrehel, PayloadTravelsWithToken) {
   struct PayloadHost final : net::Node {
     std::unique_ptr<NaimiTrehelEngine<Counter>> engine;
     std::function<void()> on_granted;
-    void on_message(SiteId, const net::Message& msg) override {
+    void on_message(SiteId, net::Message& msg) override {
       if (const auto* req = dynamic_cast<const NtRequestMsg*>(&msg)) {
         engine->on_request(*req);
       } else if (const auto* tok =

@@ -18,6 +18,11 @@ struct TestMsg final : Message {
   [[nodiscard]] std::size_t wire_size() const override { return 100; }
 };
 
+struct OtherMsg final : Message {
+  [[nodiscard]] std::string_view kind() const override { return "Other"; }
+  [[nodiscard]] std::size_t wire_size() const override { return 40; }
+};
+
 class RecorderNode final : public Node {
  public:
   struct Received {
@@ -26,8 +31,9 @@ class RecorderNode final : public Node {
     sim::SimTime at;
   };
   std::vector<Received> log;
-  void on_message(SiteId from, const Message& msg) override {
-    log.push_back({from, static_cast<const TestMsg&>(msg).payload,
+  void on_message(SiteId from, Message& msg) override {
+    const auto* test = dynamic_cast<const TestMsg*>(&msg);
+    log.push_back({from, test != nullptr ? test->payload : -1,
                    network_->simulator().now()});
   }
 };
@@ -126,6 +132,37 @@ TEST(Network, CountsMessagesAndBytesByKind) {
   f.net.reset_stats();
   EXPECT_EQ(f.net.total_messages(), 0u);
   EXPECT_TRUE(f.net.stats_by_kind().empty());
+
+  // Alternating kinds must land in their own rows, and a reset in the
+  // middle of a stream must restart every row from zero.
+  constexpr std::uint64_t kTest = 100 + Network::kEnvelopeBytes;
+  constexpr std::uint64_t kOther = 40 + Network::kEnvelopeBytes;
+  for (int i = 0; i < 5; ++i) {
+    f.net.send(0, 1, std::make_unique<TestMsg>(i));
+    if (i < 4) f.net.send(1, 0, std::make_unique<OtherMsg>());
+  }
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats.at("Test").count, 5u);
+  EXPECT_EQ(stats.at("Test").bytes, 5 * kTest);
+  EXPECT_EQ(stats.at("Other").count, 4u);
+  EXPECT_EQ(stats.at("Other").bytes, 4 * kOther);
+
+  // The last kind sent was "Test"; reset, then send it first again.
+  f.net.reset_stats();
+  f.net.send(0, 2, std::make_unique<TestMsg>(9));
+  f.net.send(2, 0, std::make_unique<OtherMsg>());
+  f.net.send(0, 2, std::make_unique<TestMsg>(10));
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats.at("Test").count, 2u);
+  EXPECT_EQ(stats.at("Test").bytes, 2 * kTest);
+  EXPECT_EQ(stats.at("Other").count, 1u);
+  EXPECT_EQ(stats.at("Other").bytes, kOther);
+  EXPECT_EQ(f.net.total_messages(), 3u);
+  EXPECT_EQ(f.net.total_bytes(), 2 * kTest + kOther);
+  f.sim.run();
+  EXPECT_EQ(f.a.log.size(), 5u);  // every "Other" message
+  EXPECT_EQ(f.b.log.size(), 1u + 5u);
+  EXPECT_EQ(f.c.log.size(), 1u + 2u);
 }
 
 TEST(Network, HierarchicalLatencyDistinguishesClusters) {
