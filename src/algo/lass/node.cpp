@@ -13,9 +13,7 @@ namespace mra::algo::lass {
 
 LassNode::LassNode(const LassConfig& config, Trace* trace)
     : cfg_(config),
-      mark_fn_(make_mark_function(config.mark_policy)),
       trace_(trace),
-      my_vector_(static_cast<std::size_t>(config.num_resources), 0),
       t_required_(config.num_resources),
       t_owned_(config.num_resources),
       cnt_needed_(config.num_resources),
@@ -51,6 +49,14 @@ void LassNode::on_start() {
   }
 }
 
+CounterVector LassNode::counter_vector() const {
+  CounterVector v(static_cast<std::size_t>(cfg_.num_resources), 0);
+  for (const CounterItem& c : my_counters_) {
+    v[static_cast<std::size_t>(c.r)] = c.value;
+  }
+  return v;
+}
+
 void LassNode::trace(const std::string& what) {
   assert(tracing() && "format trace lines only when tracing()");
   trace_->log(network_->simulator().now(), id(), what);
@@ -59,7 +65,7 @@ void LassNode::trace(const std::string& what) {
 ReqItem LassNode::my_res_request(ResourceId r) const {
   ReqItem item;
   item.type = ReqType::kRes;
-  item.r = r;
+  item.r = static_cast<std::uint16_t>(r);
   item.sinit = id();
   item.id = request_seq_;
   item.mark = mark_;
@@ -98,13 +104,12 @@ void LassNode::do_request(const ResourceSet& resources) {
   resources.for_each([&](ResourceId r) {
     if (owns(r)) {
       // We hold the token: reserve and increment the counter locally.
-      my_vector_[static_cast<std::size_t>(r)] = tok(r).counter;
-      ++tok(r).counter;
+      set_counter(r, tok(r).counter++);
     } else {
       cnt_needed_.insert(r);
       ReqItem item;
       item.type = ReqType::kCnt;
-      item.r = r;
+      item.r = static_cast<std::uint16_t>(r);
       item.sinit = id();
       item.id = request_seq_;
       if (single_res_opt) {
@@ -159,7 +164,8 @@ void LassNode::do_release() {
 
   t_required_.clear();
   current_.clear();
-  std::fill(my_vector_.begin(), my_vector_.end(), 0);
+  my_counters_.clear();
+  mark_acc_.reset();
   update_mark();
   flush_responses();
 }
@@ -185,7 +191,16 @@ void LassNode::enter_cs() {
 void LassNode::send_token(SiteId dst, ResourceId r) {
   assert(owns(r));
   assert(dst != id() && "token sent to self");
-  tok_buf_[dst].push_back(tok(r));  // authoritative copy travels
+  // The authoritative token travels. The site keeps only what its later
+  // obsolescence tests read (§4.2.1): an exact-size copy of the id map, with
+  // empty queues and no lender. Every other read of tok(r) happens while r
+  // is owned, and process_update overwrites the snapshot when r comes back.
+  LassToken& held = tok(r);
+  LassToken snapshot(r, cfg_.num_sites);
+  snapshot.counter = held.counter;
+  snapshot.ids = held.ids;
+  tok_buf_[dst].push_back(std::move(held));
+  held = std::move(snapshot);
   tok_dir(r) = dst;
   t_owned_.erase(r);
 }
@@ -272,8 +287,7 @@ void LassNode::process_update(LassToken&& t) {
   tok_dir(r) = kNoSite;
 
   if (cnt_needed_.contains(r)) {
-    my_vector_[static_cast<std::size_t>(r)] = mine.counter;
-    ++mine.counter;
+    set_counter(r, mine.counter++);
     cnt_needed_.erase(r);
     update_mark();
   }
@@ -478,14 +492,13 @@ void LassNode::maybe_initiate_loan() {
     return;
   }
   // One set per ask, shared by the ReqLoan items sent for it.
-  const auto missing = std::make_shared<const ResourceSet>(
-      t_required_.set_difference(t_owned_));
+  const LoanSet missing(t_required_.set_difference(t_owned_));
   loan_asked_ = true;
   if (tracing()) trace("ask loan for " + missing->to_string());
   missing->for_each([&](ResourceId r) {
     ReqItem item;
     item.type = ReqType::kLoan;
-    item.r = r;
+    item.r = static_cast<std::uint16_t>(r);
     item.sinit = id();
     item.id = request_seq_;
     item.mark = mark_;
@@ -515,7 +528,7 @@ void LassNode::on_message(SiteId from, net::Message& msg) {
     // Receive Counter (lines 255-262).
     for (const CounterItem& c : cnts->items) {
       if (!cnt_needed_.contains(c.r)) continue;  // duplicate/stale reply
-      my_vector_[static_cast<std::size_t>(c.r)] = c.value;
+      set_counter(c.r, c.value);
       cnt_needed_.erase(c.r);
       tok_dir(c.r) = from;  // line 260: the replier held the token
     }

@@ -66,14 +66,19 @@ class LassNode final : public AllocatorNode {
   [[nodiscard]] const ResourceSet& lent_resources() const { return t_lent_; }
   /// The site's view of r's token. Tokens materialize lazily (§13); a
   /// never-seen token reads as the initial state, so a copy is returned.
+  /// Only at the holder is it the whole token: a site that shipped r keeps
+  /// just the id map (what its obsolescence tests read), with empty queues
+  /// and no lender.
   [[nodiscard]] LassToken token_snapshot(ResourceId r) const {
     const LassToken* t = find_tok(r);
     return t != nullptr ? *t : LassToken(r, cfg_.num_sites);
   }
   [[nodiscard]] bool loan_asked() const { return loan_asked_; }
-  [[nodiscard]] const CounterVector& counter_vector() const { return my_vector_; }
+  /// The current request's counters as the paper's dense vector MyVector
+  /// (entry r = the counter obtained for r, 0 if none yet), built on demand.
+  [[nodiscard]] CounterVector counter_vector() const;
   /// A(counter_vector()): the mark of the current request, cached whenever
-  /// the counter vector changes (0 when idle under every built-in policy).
+  /// a counter arrives (0 when idle under every built-in policy).
   [[nodiscard]] double current_mark() const { return mark_; }
   /// Number of CS entries that completed via a loan.
   [[nodiscard]] std::uint64_t loans_used() const { return loans_used_; }
@@ -169,24 +174,31 @@ class LassNode final : public AllocatorNode {
   }
   /// Precondition: tracing().
   void trace(const std::string& what);
-  /// Recomputes the cached mark; call after every change to my_vector_.
-  void update_mark() { mark_ = mark_fn_(my_vector_); }
+  /// Records the counter obtained for r (MyVector[r] := value).
+  void set_counter(ResourceId r, CounterValue value) {
+    my_counters_.push_back(CounterItem{r, value});
+    mark_acc_.add(value);
+  }
+  /// Recomputes the cached mark; call after the counters change.
+  void update_mark() { mark_ = mark_acc_.mark(cfg_.mark_policy); }
 
   // -- configuration ----------------------------------------------------------
   LassConfig cfg_;
-  MarkFunction mark_fn_;
   Trace* trace_ = nullptr;
 
   // -- local variables (Annex A, Figure 9) ------------------------------------
-  // Per-site memory budget (DESIGN.md §13): tok_dir_ and my_vector_ stay
-  // dense O(M) — M is the paper-fixed resource count (80), independent of
-  // N. Everything that used to be O(N) or O(M x heavy) is sparse: token
-  // snapshots and request histories materialize on first touch, the
-  // aggregation buffers only hold live entries.
+  // Per-site memory budget (DESIGN.md §13): tok_dir_ stays dense O(M) — M
+  // is the paper-fixed resource count (80), independent of N. Everything
+  // that used to be O(N) or O(M x heavy) is sparse: token snapshots and
+  // request histories materialize on first touch, the aggregation buffers
+  // only hold live entries, and MyVector is the list of counters obtained.
   ProcessState state_ = ProcessState::kIdle;
   std::vector<SiteId> tok_dir_;        // father per resource; kNoSite = root
-  CounterVector my_vector_;            // counters of the current request
-  double mark_ = 0.0;                  // mark_fn_(my_vector_), kept current
+  // MyVector: the counters the current request has obtained (its non-zero
+  // entries), kept as a list and folded into mark_acc_ as they arrive.
+  core::SmallVector<CounterItem, 1> my_counters_;
+  MarkAccumulator mark_acc_;
+  double mark_ = 0.0;                  // A(MyVector), kept current
   ResourceSet t_required_;             // current request (== current_)
   ResourceSet t_owned_;                // owned tokens
   ResourceSet cnt_needed_;             // counters not yet received

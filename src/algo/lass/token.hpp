@@ -14,8 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <type_traits>
+#include <utility>
 
 #include "core/flat_map.hpp"
 #include "core/mark.hpp"
@@ -82,18 +83,56 @@ enum class ReqType : std::uint8_t {
   return "?";
 }
 
+/// The resources one ReqLoan ask misses, shared by the ask's items: an
+/// 8-byte handle to one {refs, set} block. Copies share the block and the
+/// last owner frees it. The count is not atomic: one simulation runs on one
+/// thread, and a request record never leaves it.
+class LoanSet {
+ public:
+  LoanSet() = default;
+  explicit LoanSet(ResourceSet set) : block_(new Block{1, std::move(set)}) {}
+  LoanSet(const LoanSet& other) noexcept : block_(other.block_) {
+    if (block_ != nullptr) ++block_->refs;
+  }
+  LoanSet(LoanSet&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)) {}
+  LoanSet& operator=(LoanSet other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~LoanSet() {
+    if (block_ != nullptr && --block_->refs == 0) delete block_;
+  }
+
+  [[nodiscard]] explicit operator bool() const { return block_ != nullptr; }
+  /// Precondition: *this holds a set.
+  [[nodiscard]] const ResourceSet& operator*() const { return block_->set; }
+  [[nodiscard]] const ResourceSet* operator->() const { return &block_->set; }
+  /// Handles sharing the block (0 for an empty handle); for tests.
+  [[nodiscard]] std::size_t use_count() const {
+    return block_ != nullptr ? block_->refs : 0;
+  }
+
+ private:
+  struct Block {
+    std::size_t refs;
+    ResourceSet set;
+  };
+  Block* block_ = nullptr;
+};
+
 /// One request record; doubles as the entry type of wQueue/wLoan.
 ///
 /// Records are copied on every hop (history, queues, aggregation buffers),
-/// so the layout is kept at 48 bytes: the ReqLoan-only `missing` set is
-/// shared by the items of one loan ask instead of being carried inline.
+/// so the layout is kept at 32 bytes: the ReqLoan-only `missing` set is an
+/// 8-byte handle shared by the items of one loan ask, and the resource is
+/// 16 bits wide (LassNode rejects M > 65535).
 struct ReqItem {
   double mark = 0.0;        ///< A(counter vector); meaningful for Res/Loan
   RequestId id = 0;         ///< requester's CS request number
-  /// ReqLoan only: resources the requester misses (null otherwise).
-  std::shared_ptr<const ResourceSet> missing;
-  ResourceId r = kNoResource;
+  LoanSet missing;          ///< ReqLoan only: resources the requester misses
   SiteId sinit = kNoSite;   ///< original requester
+  std::uint16_t r = 0;      ///< the requested resource
   ReqType type = ReqType::kCnt;
   bool single_resource = false;  ///< §4.6.1: ReqCnt doubling as ReqRes
 
@@ -107,6 +146,7 @@ struct ReqItem {
            (type == ReqType::kLoan ? (missing->universe_size() + 7) / 8 : 0);
   }
 };
+static_assert(sizeof(ReqItem) == 32, "request records are copied per hop");
 
 /// Queue of requests kept sorted by the `/` total order.
 ///

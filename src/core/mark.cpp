@@ -1,21 +1,32 @@
 #include "core/mark.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace mra {
 
-double average_non_zero(const CounterVector& v) {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (CounterValue c : v) {
-    if (c != 0) {
-      sum += static_cast<double>(c);
-      ++n;
-    }
+namespace {
+
+MarkAccumulator fold(const CounterVector& v) {
+  MarkAccumulator acc;
+  for (CounterValue c : v) acc.add(c);
+  return acc;
+}
+
+}  // namespace
+
+double MarkAccumulator::mark(MarkPolicy policy) const {
+  switch (policy) {
+    case MarkPolicy::kAverageNonZero:
+      return n == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(n);
+    case MarkPolicy::kMaxValue: return static_cast<double>(max);
+    case MarkPolicy::kSumNonZero: return static_cast<double>(sum);
+    case MarkPolicy::kMinNonZero: return static_cast<double>(min);
   }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+  throw std::invalid_argument("unknown MarkPolicy");
+}
+
+double average_non_zero(const CounterVector& v) {
+  return fold(v).mark(MarkPolicy::kAverageNonZero);
 }
 
 const char* to_string(MarkPolicy policy) {
@@ -29,35 +40,7 @@ const char* to_string(MarkPolicy policy) {
 }
 
 MarkFunction make_mark_function(MarkPolicy policy) {
-  switch (policy) {
-    case MarkPolicy::kAverageNonZero:
-      return [](const CounterVector& v) { return average_non_zero(v); };
-    case MarkPolicy::kMaxValue:
-      return [](const CounterVector& v) {
-        CounterValue m = 0;
-        for (CounterValue c : v) m = std::max(m, c);
-        return static_cast<double>(m);
-      };
-    case MarkPolicy::kSumNonZero:
-      return [](const CounterVector& v) {
-        double s = 0.0;
-        for (CounterValue c : v) s += static_cast<double>(c);
-        return s;
-      };
-    case MarkPolicy::kMinNonZero:
-      return [](const CounterVector& v) {
-        CounterValue m = std::numeric_limits<CounterValue>::max();
-        bool any = false;
-        for (CounterValue c : v) {
-          if (c != 0) {
-            m = std::min(m, c);
-            any = true;
-          }
-        }
-        return any ? static_cast<double>(m) : 0.0;
-      };
-  }
-  throw std::invalid_argument("unknown MarkPolicy");
+  return [policy](const CounterVector& v) { return fold(v).mark(policy); };
 }
 
 }  // namespace mra

@@ -7,6 +7,8 @@
 // paper's evaluation uses the average of the non-zero entries.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -31,6 +33,30 @@ enum class MarkPolicy {
 };
 
 [[nodiscard]] const char* to_string(MarkPolicy policy);
+
+/// The mark of a request, folded one counter at a time. Every built-in
+/// policy ranges over the non-zero entries, so a fold keeps their sum,
+/// count, max and min and skips zeros (resources not requested): feeding it
+/// each counter once, in any order, gives exactly what the policy computes
+/// over the dense vector. The average divides the integer sum, which equals
+/// an in-order sum of doubles while every partial sum is below 2^53.
+struct MarkAccumulator {
+  CounterValue sum = 0;
+  std::int64_t n = 0;
+  CounterValue max = 0;
+  CounterValue min = 0;
+
+  void add(CounterValue c) {
+    if (c == 0) return;
+    sum += c;
+    max = std::max(max, c);
+    min = n == 0 ? c : std::min(min, c);
+    ++n;
+  }
+  void reset() { *this = MarkAccumulator{}; }
+  /// A under `policy`; 0 when no counter was fed.
+  [[nodiscard]] double mark(MarkPolicy policy) const;
+};
 
 /// Returns the function implementing `policy`.
 [[nodiscard]] MarkFunction make_mark_function(MarkPolicy policy);

@@ -15,7 +15,7 @@
 // Deliberately minimal: the subset of the std::vector interface the
 // protocol layer uses (push_back/emplace_back, insert/erase by position,
 // iteration, indexing, clear). Elements may be non-trivial (ReqItem holds a
-// shared_ptr to its loan set); moves are member-wise element moves, not
+// counted handle to its loan set); moves are member-wise element moves, not
 // buffer steals, when the source is inline.
 #pragma once
 
@@ -109,8 +109,9 @@ class SmallVector {
     return *p;
   }
 
+  /// Exact, like std::vector: a copy of n spilled elements holds n slots.
   void reserve(std::size_t n) {
-    if (n > capacity_) grow(n);
+    if (n > capacity_) reallocate(n);
   }
 
   /// Inserts before `pos`; returns the iterator to the inserted element.
@@ -162,9 +163,12 @@ class SmallVector {
     return std::launder(reinterpret_cast<const T*>(inline_buf_));
   }
 
+  /// Amortized growth for appends: at least doubles the capacity.
   void grow(std::size_t min_capacity) {
-    std::size_t cap = capacity_ * 2;
-    if (cap < min_capacity) cap = min_capacity;
+    reallocate(std::max(capacity_ * 2, min_capacity));
+  }
+
+  void reallocate(std::size_t cap) {
     T* fresh =
         static_cast<T*>(container_spill_allocate(cap * sizeof(T)));
     for (std::size_t i = 0; i < size_; ++i) {

@@ -3,13 +3,19 @@
 // on explicit conflict graphs, and the mark-function library.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "algo/chandy_misra.hpp"
 #include "core/mark.hpp"
 #include "experiment/experiment.hpp"
 #include "harness.hpp"
 #include "net/network.hpp"
+#include "sim/random.hpp"
 
 namespace mra {
 namespace {
@@ -247,6 +253,59 @@ TEST(MarkFunctions, PolicyLibrary) {
   EXPECT_DOUBLE_EQ(make_mark_function(MarkPolicy::kMaxValue)(v), 9.0);
   EXPECT_DOUBLE_EQ(make_mark_function(MarkPolicy::kSumNonZero)(v), 18.0);
   EXPECT_DOUBLE_EQ(make_mark_function(MarkPolicy::kMinNonZero)(v), 3.0);
+}
+
+TEST(MarkFunctions, AccumulatorMatchesDenseLoopsForEveryPolicy) {
+  // The nodes fold counters one at a time; these loops are the dense
+  // definitions over the paper's MyVector, zeros meaning "not requested".
+  const auto dense = [](MarkPolicy p, const CounterVector& v) {
+    double sum = 0.0;
+    CounterValue max = 0;
+    CounterValue min = 0;
+    int n = 0;
+    for (CounterValue c : v) {
+      if (c == 0) continue;
+      sum += static_cast<double>(c);
+      max = std::max(max, c);
+      min = n == 0 ? c : std::min(min, c);
+      ++n;
+    }
+    switch (p) {
+      case MarkPolicy::kAverageNonZero: return n == 0 ? 0.0 : sum / n;
+      case MarkPolicy::kMaxValue: return static_cast<double>(max);
+      case MarkPolicy::kSumNonZero: return sum;
+      case MarkPolicy::kMinNonZero: return static_cast<double>(min);
+    }
+    return -1.0;
+  };
+  sim::Rng rng(17);
+  std::vector<CounterVector> vectors = {CounterVector(80, 0), {0}, {7}};
+  for (int i = 0; i < 200; ++i) {
+    CounterVector v(static_cast<std::size_t>(rng.uniform_int(1, 80)), 0);
+    for (CounterValue& c : v) {
+      // About half zeros; the rest up to 10^6, far from 2^53 when summed.
+      if (rng.uniform_int(0, 1) == 1) c = rng.uniform_int(1, 1'000'000);
+    }
+    vectors.push_back(std::move(v));
+  }
+  for (MarkPolicy p : {MarkPolicy::kAverageNonZero, MarkPolicy::kMaxValue,
+                       MarkPolicy::kSumNonZero, MarkPolicy::kMinNonZero}) {
+    const MarkFunction f = make_mark_function(p);
+    for (const CounterVector& v : vectors) {
+      MarkAccumulator acc;
+      for (CounterValue c : v) acc.add(c);
+      const double want = dense(p, v);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(acc.mark(p)),
+                std::bit_cast<std::uint64_t>(want))
+          << to_string(p) << ": " << acc.mark(p) << " vs " << want;
+      EXPECT_EQ(f(v), want) << to_string(p);
+    }
+    EXPECT_EQ(f(CounterVector(80, 0)), 0.0) << to_string(p);
+    MarkAccumulator acc;
+    acc.add(4);
+    acc.reset();
+    EXPECT_EQ(acc.mark(p), 0.0) << to_string(p) << " after reset";
+  }
 }
 
 TEST(MarkFunctions, RequestPrecedesTotalOrder) {

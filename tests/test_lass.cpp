@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "algo/factory.hpp"
 #include "algo/lass/node.hpp"
@@ -25,7 +27,7 @@ namespace {
 ReqItem res_item(ResourceId r, SiteId s, RequestId id, double mark) {
   ReqItem item;
   item.type = ReqType::kRes;
-  item.r = r;
+  item.r = static_cast<std::uint16_t>(r);
   item.sinit = s;
   item.id = id;
   item.mark = mark;
@@ -90,11 +92,65 @@ TEST(ReqItem, WireSizeDoesNotDependOnLayout) {
   // ReqLoan, a bitmap over the resource universe (M = 80 -> 10 bytes).
   ReqItem loan = res_item(5, 1, 2, 3.0);
   loan.type = ReqType::kLoan;
-  loan.missing = std::make_shared<const ResourceSet>(ResourceSet(80, {5, 9}));
+  loan.missing = LoanSet(ResourceSet(80, {5, 9}));
   EXPECT_EQ(loan.wire_size(), 36u);
   EXPECT_EQ(res_item(5, 1, 2, 3.0).wire_size(), 26u);
   // Records are copied on every hop: the loan set is shared, not inline.
-  EXPECT_LE(sizeof(ReqItem), 48u);
+  EXPECT_EQ(sizeof(ReqItem), 32u);
+}
+
+TEST(ReqItem, SixteenBitResourceHoldsTheLargestId) {
+  // LassNode accepts M <= 65535, so 65534 is the largest resource id.
+  const ReqItem item = res_item(65534, 1, 2, 3.0);
+  EXPECT_EQ(item.r, 65534);
+  EXPECT_EQ(static_cast<ResourceId>(item.r), ResourceId{65534});
+}
+
+TEST(LoanSet, CopiesShareOneBlockAndTheLastOwnerFreesIt) {
+  LoanSet empty;
+  EXPECT_FALSE(empty);
+  EXPECT_EQ(empty.use_count(), 0u);
+
+  LoanSet a(ResourceSet(80, {5, 9}));
+  ASSERT_TRUE(a);
+  EXPECT_EQ(a.use_count(), 1u);
+  const ResourceSet* block = &*a;
+
+  // A copy shares the block.
+  LoanSet b = a;
+  EXPECT_EQ(&*b, block);
+  EXPECT_EQ(a.use_count(), 2u);
+
+  // A move hands the block over without touching the count.
+  LoanSet c = std::move(b);
+  EXPECT_FALSE(b);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(&*c, block);
+  EXPECT_EQ(a.use_count(), 2u);
+
+  const LoanSet& alias = c;
+  // Self-assignment keeps the block.
+  c = alias;
+  EXPECT_EQ(&*c, block);
+  EXPECT_EQ(c.use_count(), 2u);
+
+  // Assignment over a live handle drops that handle's block.
+  LoanSet other(ResourceSet(80, {1}));
+  LoanSet d = other;
+  EXPECT_EQ(other.use_count(), 2u);
+  d = a;
+  EXPECT_EQ(other.use_count(), 1u);
+  EXPECT_EQ(a.use_count(), 3u);
+  EXPECT_TRUE(d->contains(9));
+  // Frees {1}; ASan reports a leak or a double free here.
+  other = std::move(d);
+  EXPECT_EQ(a.use_count(), 3u);
+  EXPECT_TRUE(other->contains(5));
+
+  a = LoanSet();
+  c = LoanSet();
+  // `other` is the last owner of {5, 9}.
+  EXPECT_EQ(other.use_count(), 1u);
+  EXPECT_EQ(other->size(), 2u);
 }
 
 TEST(TotalOrder, PrecedesIsStrictTotalOrder) {
@@ -193,6 +249,49 @@ TEST(LassNode, Figure3Walkthrough) {
   f.node(1).release();
   f.sim.run();
   f.expect_token_conservation_at_quiescence();
+}
+
+TEST(LassNode, SenderKeepsOnlyTheIdMapOfAShippedToken) {
+  // s1 and s2 each use r0 once, so its id map records them. Then s3 holds
+  // r0 in CS while s1 and s2 queue behind it, and s3's release ships the
+  // token, its queue still holding one of them, to the other.
+  LassFixture f(4, 1, /*loan=*/false);
+  const ResourceSet r0(1, {0});
+  for (SiteId s : {1, 2}) {
+    f.node(s).request(r0);
+    f.sim.run();
+    f.node(s).release();
+    f.sim.run();
+  }
+  f.node(3).request(r0);
+  f.sim.run();
+  ASSERT_EQ(f.node(3).state(), ProcessState::kInCS);
+  f.node(1).request(r0);
+  f.node(2).request(r0);
+  f.sim.run();
+  f.node(3).release();
+  f.sim.run();
+
+  // The receiver entered its CS and has not touched the id map since.
+  SiteId holder = kNoSite;
+  for (SiteId s : {1, 2}) {
+    if (f.node(s).state() == ProcessState::kInCS) holder = s;
+  }
+  ASSERT_NE(holder, kNoSite);
+  const LassToken shipped = f.node(holder).token_snapshot(0);
+  EXPECT_EQ(shipped.wqueue.size(), 1u) << "the other waiter travels along";
+
+  const LassToken kept = f.node(3).token_snapshot(0);
+  EXPECT_FALSE(f.node(3).owned_tokens().contains(0));
+  EXPECT_EQ(kept.ids.size(), shipped.ids.size());
+  EXPECT_GE(kept.ids.size(), 3u);
+  for (SiteId s = 0; s < 4; ++s) {
+    EXPECT_EQ(kept.ids.get(s).req_cnt, shipped.ids.get(s).req_cnt) << s;
+    EXPECT_EQ(kept.ids.get(s).cs, shipped.ids.get(s).cs) << s;
+  }
+  EXPECT_TRUE(kept.wqueue.empty());
+  EXPECT_TRUE(kept.wloan.empty());
+  EXPECT_EQ(kept.lender, kNoSite);
 }
 
 TEST(LassNode, CounterValuesAreUniquePerResource) {
@@ -381,14 +480,17 @@ bool is_initial_token(const LassToken& t, ResourceId r, int n) {
 }
 
 /// At every observer hook (each send, delivery, request, grant, release and
-/// clock advance), checks every node: the cached mark is bit-equal to the
-/// paper's A recomputed from the counter vector, and a resource no request
+/// clock advance), checks every node: the cached mark is bit-equal to A
+/// recomputed from the dense counter vector, and a resource no request
 /// names still reads as its initial token.
 class MarkCacheProbe final : public check::Observer {
  public:
-  MarkCacheProbe(std::vector<const LassNode*> nodes, ResourceId untouched,
-                 int num_sites)
-      : nodes_(std::move(nodes)), untouched_(untouched), n_(num_sites) {}
+  MarkCacheProbe(std::vector<const LassNode*> nodes, MarkFunction mark,
+                 ResourceId untouched, int num_sites)
+      : nodes_(std::move(nodes)),
+        mark_(std::move(mark)),
+        untouched_(untouched),
+        n_(num_sites) {}
 
   void on_event(const check::Event& /*event*/) override { check(); }
   void on_advance(sim::SimTime /*now*/) override { check(); }
@@ -402,7 +504,7 @@ class MarkCacheProbe final : public check::Observer {
     for (std::size_t s = 0; s < nodes_.size(); ++s) {
       const LassNode& node = *nodes_[s];
       const double cached = node.current_mark();
-      const double fresh = average_non_zero(node.counter_vector());
+      const double fresh = mark_(node.counter_vector());
       const bool mark_ok = std::bit_cast<std::uint64_t>(cached) ==
                            std::bit_cast<std::uint64_t>(fresh);
       const bool token_ok =
@@ -417,13 +519,16 @@ class MarkCacheProbe final : public check::Observer {
   }
 
   std::vector<const LassNode*> nodes_;
+  MarkFunction mark_;
   ResourceId untouched_;
   int n_;
   std::uint64_t checks_ = 0;
   std::uint64_t mismatches_ = 0;
 };
 
-TEST(LassNode, CachedMarkMatchesCounterVectorAtEveryHook) {
+class MarkPolicyTest : public ::testing::TestWithParam<MarkPolicy> {};
+
+TEST_P(MarkPolicyTest, CachedMarkMatchesCounterVectorAtEveryHook) {
   // LASS with loan, N=8, M=12, requests of 1..4 resources drawn from
   // [0, M-1): resource M-1 is never requested, so no site ever touches it.
   constexpr int kSites = 8;
@@ -434,13 +539,15 @@ TEST(LassNode, CachedMarkMatchesCounterVectorAtEveryHook) {
   sys.algorithm = algo::Algorithm::kLassWithLoan;
   sys.num_sites = kSites;
   sys.num_resources = kResources;
+  sys.mark_policy = GetParam();
   sys.seed = 21;
   auto system = algo::AllocationSystem::create(sys);
   system->start();
   sim::Simulator& sim = system->simulator();
 
   const std::vector<const LassNode*> nodes = lass_nodes(*system);
-  MarkCacheProbe probe(nodes, kResources - 1, kSites);
+  MarkCacheProbe probe(nodes, make_mark_function(sys.mark_policy),
+                       kResources - 1, kSites);
   sim.set_observer(&probe);
   system->network().set_observer(&probe);
   for (SiteId s = 0; s < kSites; ++s) system->node(s).set_observer(&probe);
@@ -458,6 +565,16 @@ TEST(LassNode, CachedMarkMatchesCounterVectorAtEveryHook) {
     EXPECT_EQ(node->current_mark(), 0.0) << "idle sites hold no mark";
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    LassNode, MarkPolicyTest,
+    ::testing::Values(MarkPolicy::kAverageNonZero, MarkPolicy::kMaxValue,
+                      MarkPolicy::kSumNonZero, MarkPolicy::kMinNonZero),
+    [](const ::testing::TestParamInfo<MarkPolicy>& info) {
+      std::string name = to_string(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 /// The widest loan (lent resource count) any site holds at an observer hook.
 class LoanWidthProbe final : public check::Observer {
