@@ -307,25 +307,25 @@ void LassNode::process_update(LassToken&& t) {
   mine.wqueue.remove_site(id());
   mine.wloan.remove_site(id());
 
-  // Fold the local request history into the token (lines 145-158).
+  // Fold the local request history into the token (lines 145-158), the
+  // ReqCnt records first. Each list keeps arrival order, and the result
+  // equals the single list's fold (DESIGN.md §13): counters depend only on
+  // the ReqCnt order, the fold never writes the CS ids that a ReqRes or
+  // ReqLoan obsolescence test reads, and the queues are sorted sets.
   History history;
   if (const std::uint16_t s = slot(r).pending; s != 0) {
     history = std::move(pending_[s - 1U]);
   }
-  for (const ReqItem& req : history) {
+  for (const ReqCntRecord& rec : history.cnt) {
+    const ReqItem req = rec.item(r);
     if (is_obsolete(req)) continue;
     if (req.sinit == id()) continue;  // [deviation 2] self-request, satisfied
-    switch (req.type) {
-      case ReqType::kCnt:
-        reply_counter(req);
-        break;
-      case ReqType::kRes:
-        mine.wqueue.insert(req);
-        break;
-      case ReqType::kLoan:
-        mine.wloan.insert(req);
-        break;
-    }
+    reply_counter(req);
+  }
+  for (const ReqItem& req : history.other) {
+    if (is_obsolete(req)) continue;
+    if (req.sinit == id()) continue;  // [deviation 2]
+    (req.type == ReqType::kRes ? mine.wqueue : mine.wloan).insert(req);
   }
 }
 
@@ -403,12 +403,12 @@ void LassNode::process_request_item(const ReqItem& req,
         state_ == ProcessState::kWaitCS && t_required_.contains(r) &&
         my_res_request(r).precedes(req);
     if (we_precede || t_lent_.contains(r)) {
-      pending(r).push_back(req);
+      pending(r).push(req);
       return;
     }
   }
 
-  pending(r).push_back(req);
+  pending(r).push(req);
   // [deviation 1] Forwarding stops at a visited father; the request stays
   // in the local history so a future token visit serves it (lemma 6).
   if (!visited.contains(father)) buffer_request(father, req);

@@ -88,8 +88,27 @@ class LassNode final : public AllocatorNode {
   // -- helpers mirroring the pseudo-code procedures --------------------------
   [[nodiscard]] bool owns(ResourceId r) const { return t_owned_.contains(r); }
 
-  /// r's local request history (Annex A pendingReq[r]).
-  using History = core::SmallVector<ReqItem, 1>;
+  /// r's local request history (Annex A pendingReq[r]), kept as two lists
+  /// in arrival order: ReqCnt records, nearly all of them, in 16 bytes, and
+  /// the ReqRes and ReqLoan records whole. Folding one list after the other
+  /// gives the token the single list's result (DESIGN.md §13).
+  struct History {
+    core::SmallVector<ReqCntRecord, 1> cnt;
+    std::vector<ReqItem> other;
+
+    /// Appends `req`. The ReqCnt list grows by 1.25x, not 2x: it is only
+    /// appended to until the token visits, and most of it is never read.
+    void push(const ReqItem& req) {
+      if (req.type != ReqType::kCnt) {
+        other.push_back(req);
+        return;
+      }
+      if (cnt.size() == cnt.capacity()) {
+        cnt.reserve(cnt.size() + cnt.size() / 4 + 1);
+      }
+      cnt.push_back(ReqCntRecord{req.id, req.sinit, req.single_resource});
+    }
+  };
   /// One slot of the per-resource index (see the members below): 1-based
   /// positions of r's token snapshot in toks_ and of its history in
   /// pending_, 0 = not materialized.

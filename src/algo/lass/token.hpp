@@ -148,6 +148,27 @@ struct ReqItem {
 };
 static_assert(sizeof(ReqItem) == 32, "request records are copied per hop");
 
+/// A ReqCnt record in a site's request history (Annex A pendingReq[r]).
+/// Nearly every history record is a ReqCnt, and it needs neither the
+/// resource (the history is per resource), nor a mark (always 0), nor a loan
+/// set: 16 bytes instead of ReqItem's 32.
+struct ReqCntRecord {
+  RequestId id = 0;
+  SiteId sinit = kNoSite;
+  bool single_resource = false;
+
+  /// The ReqItem this record was made from.
+  [[nodiscard]] ReqItem item(ResourceId r) const {
+    ReqItem req;
+    req.id = id;
+    req.sinit = sinit;
+    req.r = static_cast<std::uint16_t>(r);
+    req.single_resource = single_resource;
+    return req;
+  }
+};
+static_assert(sizeof(ReqCntRecord) == 16, "request histories hold millions");
+
 /// Queue of requests kept sorted by the `/` total order.
 ///
 /// At most one live entry per site (hypothesis 4: one outstanding request per

@@ -360,7 +360,15 @@ void ComplexityOracle::on_event(const Event& event, ViolationSink& sink) {
   switch (event.type) {
     case EventType::kSend:
       ++sends_;
-      if (!event.kind.empty()) ++by_kind_[std::string(event.kind)];
+      if (!event.kind.empty()) {
+        // A string is built only for a kind's first send.
+        const auto it = by_kind_.find(event.kind);
+        if (it != by_kind_.end()) {
+          ++it->second;
+        } else {
+          by_kind_.emplace(event.kind, 1);
+        }
+      }
       break;
     case EventType::kAcquire:
       ++acquires_;

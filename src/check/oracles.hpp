@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -189,15 +190,16 @@ class ComplexityOracle final : public Oracle {
                           : static_cast<double>(sends_) /
                                 static_cast<double>(acquires_);
   }
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& by_kind() const {
-    return by_kind_;
-  }
+  /// Sends per message kind; keyed transparently, so a send looks its kind
+  /// up without building a string.
+  using KindCounts = std::map<std::string, std::uint64_t, std::less<>>;
+  [[nodiscard]] const KindCounts& by_kind() const { return by_kind_; }
 
  private:
   double bound_;
   std::uint64_t sends_ = 0;
   std::uint64_t acquires_ = 0;
-  std::map<std::string, std::uint64_t> by_kind_;
+  KindCounts by_kind_;
 };
 
 }  // namespace mra::check

@@ -8,8 +8,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "algo/factory.hpp"
 #include "algo/lass/node.hpp"
@@ -85,6 +88,60 @@ TEST(SortedRequestQueue, RemoveSiteAndPrune) {
   EXPECT_EQ(q.head().sinit, 2);
   EXPECT_TRUE(q.contains_site(3));
   EXPECT_FALSE(q.contains_site(0));
+}
+
+TEST(SortedRequestQueue, InsertionOrderDoesNotChangeTheQueue) {
+  // A token fold inserts a history's ReqCnt-derived ReqRes records before
+  // its ReqRes and ReqLoan records, not in arrival order. That is safe
+  // because insert() is order-free as long as no two inserted records
+  // share (sinit, id): the queue keeps, per site, the record with the
+  // largest id, sorted by (mark, sinit), and sites are distinct. Histories
+  // meet the precondition: a §4.6.1 single-resource ReqCnt never has a
+  // ReqRes twin (single_res_registered_ stops its requester from sending
+  // one), ReqLoan records go to the other queue, and copies of one record
+  // carry equal fields, so they stay in one list and keep their order.
+  sim::Rng rng(16);
+  for (int batch = 0; batch < 40; ++batch) {
+    const int n = static_cast<int>(rng.uniform_int(2, 6));
+    std::vector<ReqItem> items;
+    std::set<std::pair<SiteId, RequestId>> keys;
+    while (static_cast<int>(items.size()) < n) {
+      // Few sites and few marks: same-site records with newer and older
+      // ids, and equal marks across sites.
+      const auto s = static_cast<SiteId>(rng.uniform_int(0, 3));
+      const RequestId id = rng.uniform_int(1, 4);
+      if (!keys.emplace(s, id).second) continue;
+      const auto mark = static_cast<double>(rng.uniform_int(1, 3));
+      ReqItem item = res_item(3, s, id, mark);
+      if (batch % 2 == 1) {
+        item.type = ReqType::kLoan;
+        item.missing = LoanSet(ResourceSet(8, {3}));
+      }
+      items.push_back(item);
+    }
+    // Permute indices: the records themselves are not totally ordered.
+    std::vector<std::size_t> order(items.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::vector<std::tuple<SiteId, RequestId, double>> reference;
+    do {
+      SortedRequestQueue q;
+      for (const std::size_t i : order) q.insert(items[i]);
+      std::vector<std::tuple<SiteId, RequestId, double>> got;
+      for (const ReqItem& it : q.items()) {
+        got.emplace_back(it.sinit, it.id, it.mark);
+      }
+      if (reference.empty()) reference = got;
+      ASSERT_EQ(got, reference) << "batch " << batch;
+    } while (std::next_permutation(order.begin(), order.end()));
+    // The reference holds one record per site, the newest.
+    for (const auto& [s, id, mark] : reference) {
+      for (const ReqItem& it : items) {
+        if (it.sinit == s) {
+          EXPECT_LE(it.id, id) << "batch " << batch;
+        }
+      }
+    }
+  }
 }
 
 TEST(ReqItem, WireSizeDoesNotDependOnLayout) {
@@ -292,6 +349,116 @@ TEST(LassNode, SenderKeepsOnlyTheIdMapOfAShippedToken) {
   EXPECT_TRUE(kept.wqueue.empty());
   EXPECT_TRUE(kept.wloan.empty());
   EXPECT_EQ(kept.lender, kNoSite);
+}
+
+/// A site that only records the LASS messages it receives.
+struct RecordingSite final : net::Node {
+  std::vector<CounterItem> counters;
+  std::vector<LassToken> tokens;
+
+  void on_message(SiteId /*from*/, net::Message& msg) override {
+    if (auto* c = dynamic_cast<CounterBundleMsg*>(&msg)) {
+      counters.insert(counters.end(), c->items.begin(), c->items.end());
+    } else if (auto* t = dynamic_cast<TokenBundleMsg*>(&msg)) {
+      for (LassToken& tok : t->items) tokens.push_back(std::move(tok));
+    }
+  }
+};
+
+TEST(LassNode, HistoryFoldKeepsReqCntArrivalOrder) {
+  // Site 1 runs LASS; every other site records what it receives. Site 1
+  // does not hold r1, so requests for r1 park in its history: each bundle
+  // lists site 0 (site 1's father) as visited, so none is forwarded.
+  constexpr int kSites = 8;
+  constexpr ResourceId kR = 1;
+  sim::Simulator sim;
+  net::Network net{sim, net::make_fixed_latency(sim::from_ms(0.6)), 9};
+  std::vector<std::unique_ptr<RecordingSite>> sites;
+  LassConfig cfg;
+  cfg.num_sites = kSites;
+  cfg.num_resources = 2;
+  cfg.enable_loan = true;
+  LassNode lass(cfg);
+  for (SiteId s = 0; s < kSites; ++s) {
+    if (s == 1) {
+      net.add_node(lass);
+      continue;
+    }
+    sites.push_back(std::make_unique<RecordingSite>());
+    net.add_node(*sites.back());
+  }
+  net.start();
+  auto site = [&](SiteId s) -> RecordingSite& {
+    return *sites[static_cast<std::size_t>(s < 1 ? s : s - 1)];
+  };
+
+  auto cnt = [](SiteId s, RequestId id, bool single) {
+    ReqItem item = res_item(kR, s, id, 0.0);
+    item.type = ReqType::kCnt;
+    item.single_resource = single;
+    return item;
+  };
+  ReqItem loan = res_item(kR, 5, 1, 1.5);
+  loan.type = ReqType::kLoan;
+  loan.missing = LoanSet(ResourceSet(2, {kR}));
+
+  // Arrival order interleaves the three kinds.
+  const std::vector<ReqItem> arrivals = {
+      cnt(2, 1, false),          // counter 10
+      res_item(kR, 3, 4, 2.5),   // replaced by site 3's id 5 below
+      cnt(4, 2, true),           // counter 11, queued with mark 11
+      loan,                      // parked in wloan
+      cnt(6, 5, false),          // counter 12
+      cnt(2, 1, false),          // a second copy: already served
+      res_item(kR, 7, 3, 0.5),   // site 7's CS 3 is done: obsolete
+      res_item(kR, 5, 2, 11.0),  // mark ties site 4's; site id breaks it
+      cnt(3, 5, true),           // counter 13, queued with mark 13
+      cnt(7, 4, false),          // counter 14
+  };
+  RequestBundleMsg parked;
+  parked.visited.push_back(0);
+  for (const ReqItem& item : arrivals) parked.items.push_back(item);
+  lass.on_message(0, parked);
+  sim.run();
+  for (SiteId s : {0, 2, 3, 4, 5, 6, 7}) {
+    EXPECT_TRUE(site(s).counters.empty()) << "nothing served before the token";
+  }
+
+  TokenBundleMsg delivery;
+  LassToken token(kR, kSites);
+  token.counter = 10;
+  token.ids[7].cs = 3;
+  delivery.items.push_back(std::move(token));
+  lass.on_message(0, delivery);
+  sim.run();
+
+  // Counters follow the ReqCnt arrival order.
+  const std::vector<std::pair<SiteId, CounterValue>> expected = {
+      {2, 10}, {4, 11}, {6, 12}, {3, 13}, {7, 14}};
+  for (const auto& [s, value] : expected) {
+    ASSERT_EQ(site(s).counters.size(), 1u) << "site " << s;
+    EXPECT_EQ(site(s).counters[0].r, kR);
+    EXPECT_EQ(site(s).counters[0].value, value) << "site " << s;
+  }
+  for (SiteId s : {0, 5}) EXPECT_TRUE(site(s).counters.empty()) << s;
+
+  // Site 1 is idle: it ships the token to the queue's head, site 4 (mark 11
+  // ties site 5's and the site id breaks it); the rest of both queues
+  // travels along.
+  ASSERT_EQ(site(4).tokens.size(), 1u);
+  const LassToken& shipped = site(4).tokens[0];
+  EXPECT_EQ(shipped.counter, 15);
+  std::vector<std::tuple<SiteId, RequestId, double>> wqueue;
+  for (const ReqItem& it : shipped.wqueue.items()) {
+    wqueue.emplace_back(it.sinit, it.id, it.mark);
+  }
+  const std::vector<std::tuple<SiteId, RequestId, double>> want_wqueue = {
+      {5, 2, 11.0}, {3, 5, 13.0}};
+  EXPECT_EQ(wqueue, want_wqueue);
+  ASSERT_EQ(shipped.wloan.size(), 1u);
+  EXPECT_EQ(shipped.wloan.head().sinit, 5);
+  EXPECT_EQ(shipped.wloan.head().id, 1);
+  for (SiteId s : {0, 2, 3, 5, 6, 7}) EXPECT_TRUE(site(s).tokens.empty()) << s;
 }
 
 TEST(LassNode, CounterValuesAreUniquePerResource) {
