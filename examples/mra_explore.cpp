@@ -125,8 +125,9 @@ struct Options {
       "\n"
       "Exhaustive mode (DPOR-style model checking on tiny configurations):\n"
       "  --exhaustive           enumerate every same-instant commutation.\n"
-      "                         With --mutex P: the raw substrate; with\n"
-      "                         --cm-ring: the ring; otherwise one scenario\n"
+      "                         With one --mutex P (not all): that raw\n"
+      "                         substrate; with --cm-ring: the ring;\n"
+      "                         otherwise one scenario\n"
       "                         (--scenario NAME, default the tiny built-in\n"
       "                         config) under one --algo\n"
       "  --sites N              substrate sites / tiny-spec sites\n"
@@ -257,6 +258,45 @@ check::DporConfig dpor_from(const Options& o) {
     cfg.max_schedules = 1;
   }
   return cfg;
+}
+
+// The sweep fields every explorer config shares, filled from the flags.
+// Exhaustive mode ignores the fuzz-only ones (seeds, delay bound,
+// keep-going, threads).
+template <typename Config>
+Config explore_config(const Options& o, const check::MonitorConfig& mc,
+                      check::ExploreProgress& progress) {
+  Config cfg;
+  cfg.seeds_per_case = o.seeds;
+  cfg.base_seed = o.base_seed;
+  cfg.delay_bound = static_cast<sim::SimDuration>(o.delay_bound_ms * 1e6);
+  cfg.stop_on_first = !o.keep_going;
+  cfg.monitor = mc;
+  cfg.threads = o.threads;
+  cfg.trace_dir = o.trace_dir;
+  cfg.progress = &progress;
+  return cfg;
+}
+
+// A mutex or ring config: the shared fields plus --sites / --requests.
+template <typename Config>
+Config substrate_config(const Options& o, const check::MonitorConfig& mc,
+                        check::ExploreProgress& progress) {
+  Config cfg = explore_config<Config>(o, mc, progress);
+  if (o.sites > 0) cfg.num_sites = o.sites;
+  if (o.requests > 0) cfg.requests_per_site = o.requests;
+  return cfg;
+}
+
+std::vector<check::MutexProtocol> mutex_protocols(const Options& o) {
+  if (o.mutexes.size() == 1 && o.mutexes[0] == "all") {
+    return check::all_mutex_protocols();
+  }
+  std::vector<check::MutexProtocol> out;
+  for (const std::string& name : o.mutexes) {
+    out.push_back(check::mutex_protocol_from_name(name));
+  }
+  return out;
 }
 
 std::string choices_to_string(const std::vector<std::uint64_t>& choices) {
@@ -437,31 +477,14 @@ int run_exhaustive(const Options& o, const check::MonitorConfig& mc) {
   const auto heartbeat = make_heartbeat(o, progress, "explore-exhaustive");
   check::ExploreReport report;
   if (!o.mutexes.empty()) {
-    check::MutexExploreConfig cfg;
-    cfg.monitor = mc;
-    cfg.base_seed = o.base_seed;
-    cfg.trace_dir = o.trace_dir;
-    if (o.sites > 0) cfg.num_sites = o.sites;
-    if (o.requests > 0) cfg.requests_per_site = o.requests;
-    if (o.mutexes.size() == 1 && o.mutexes[0] == "all") {
-      cfg.protocols = check::all_mutex_protocols();
-    } else {
-      for (const std::string& name : o.mutexes) {
-        cfg.protocols.push_back(check::mutex_protocol_from_name(name));
-      }
-    }
-    cfg.progress = &progress;
-    // One protocol per exhaustive run keeps the schedule count meaningful.
+    auto cfg = substrate_config<check::MutexExploreConfig>(o, mc, progress);
+    cfg.protocols = mutex_protocols(o);
+    // One protocol per exhaustive run keeps the schedule count meaningful:
+    // more than one (--mutex all) throws, and main exits 2.
     report = check::explore_mutex_exhaustive(cfg, dpor);
   } else if (o.cm_ring) {
-    check::CmRingExploreConfig cfg;
-    cfg.monitor = mc;
-    cfg.base_seed = o.base_seed;
-    cfg.trace_dir = o.trace_dir;
-    if (o.sites > 0) cfg.num_sites = o.sites;
-    if (o.requests > 0) cfg.requests_per_site = o.requests;
-    cfg.progress = &progress;
-    report = check::explore_cm_ring_exhaustive(cfg, dpor);
+    report = check::explore_cm_ring_exhaustive(
+        substrate_config<check::CmRingExploreConfig>(o, mc, progress), dpor);
   } else {
     scenario::ScenarioSpec spec;
     if (o.scenarios.empty() ||
@@ -529,21 +552,18 @@ int main(int argc, char** argv) {
     check::ExploreReport total;
     check::ExploreProgress progress;
     const auto heartbeat = make_heartbeat(o, progress, "explore-fuzz");
+    const auto merge = [&total](const check::ExploreReport& report) {
+      total.runs += report.runs;
+      total.violating_runs += report.violating_runs;
+      total.found.insert(total.found.end(), report.found.begin(),
+                         report.found.end());
+    };
 
     const bool scenario_mode =
         o.scenarios.empty() || o.scenarios[0] != "__none__";
     if (scenario_mode) {
-      check::ExploreConfig cfg;
-      cfg.monitor = mc;
-      cfg.seeds_per_case = o.seeds;
-      cfg.base_seed = o.base_seed;
-      cfg.delay_bound =
-          static_cast<sim::SimDuration>(o.delay_bound_ms * 1e6);
-      cfg.stop_on_first = !o.keep_going;
-      cfg.trace_dir = o.trace_dir;
-      cfg.threads = o.threads;
+      auto cfg = explore_config<check::ExploreConfig>(o, mc, progress);
       cfg.neighborhood_variants = o.neighborhood;
-      cfg.progress = &progress;
       if (o.scenarios.empty() ||
           (o.scenarios.size() == 1 && o.scenarios[0] == "all")) {
         cfg.scenarios = scenario::registry();
@@ -571,52 +591,14 @@ int main(int argc, char** argv) {
 
     if (!o.mutexes.empty() &&
         (total.found.empty() || o.keep_going)) {
-      check::MutexExploreConfig mcfg;
-      mcfg.monitor = mc;
-      mcfg.seeds_per_case = o.seeds;
-      mcfg.base_seed = o.base_seed;
-      mcfg.delay_bound =
-          static_cast<sim::SimDuration>(o.delay_bound_ms * 1e6);
-      mcfg.stop_on_first = !o.keep_going;
-      mcfg.threads = o.threads;
-      mcfg.trace_dir = o.trace_dir;
-      mcfg.progress = &progress;
-      if (o.sites > 0) mcfg.num_sites = o.sites;
-      if (o.requests > 0) mcfg.requests_per_site = o.requests;
-      if (o.mutexes.size() == 1 && o.mutexes[0] == "all") {
-        mcfg.protocols = check::all_mutex_protocols();
-      } else {
-        for (const std::string& name : o.mutexes) {
-          mcfg.protocols.push_back(check::mutex_protocol_from_name(name));
-        }
-      }
-      const check::ExploreReport mutex_report = check::explore_mutex(mcfg);
-      total.runs += mutex_report.runs;
-      total.violating_runs += mutex_report.violating_runs;
-      for (const check::FoundViolation& f : mutex_report.found) {
-        total.found.push_back(f);
-      }
+      auto cfg = substrate_config<check::MutexExploreConfig>(o, mc, progress);
+      cfg.protocols = mutex_protocols(o);
+      merge(check::explore_mutex(cfg));
     }
 
     if (o.cm_ring && (total.found.empty() || o.keep_going)) {
-      check::CmRingExploreConfig ccfg;
-      ccfg.monitor = mc;
-      ccfg.seeds_per_case = o.seeds;
-      ccfg.base_seed = o.base_seed;
-      ccfg.delay_bound =
-          static_cast<sim::SimDuration>(o.delay_bound_ms * 1e6);
-      ccfg.stop_on_first = !o.keep_going;
-      ccfg.threads = o.threads;
-      ccfg.trace_dir = o.trace_dir;
-      ccfg.progress = &progress;
-      if (o.sites > 0) ccfg.num_sites = o.sites;
-      if (o.requests > 0) ccfg.requests_per_site = o.requests;
-      const check::ExploreReport cm_report = check::explore_cm_ring(ccfg);
-      total.runs += cm_report.runs;
-      total.violating_runs += cm_report.violating_runs;
-      for (const check::FoundViolation& f : cm_report.found) {
-        total.found.push_back(f);
-      }
+      merge(check::explore_cm_ring(
+          substrate_config<check::CmRingExploreConfig>(o, mc, progress)));
     }
 
     print_report(o, total);

@@ -6,7 +6,9 @@
 #   sweep    replicated mra_scenarios runs of paper-phi4, once with LASS and
 #            once with LASS-with-loan (the loan path shares each ask's
 #            missing set between its ReqLoan records);
-#   explore  the wave-sharded mra_explore sweep over the mutex protocols.
+#   explore  the wave-sharded mra_explore fuzz sweep over the whole scenario
+#            registry and every algorithm (the default), the three mutex
+#            protocols (--mutex all) and the Chandy-Misra ring (--cm-ring).
 #
 # Usage: scripts/check_thread_invariance.sh BUILD_DIR OUT_DIR PART...
 #   PART is sweep or explore. Outputs land in OUT_DIR.
@@ -38,9 +40,9 @@ check_sweep() {
 }
 
 check_explore() {
-  "$build/mra_explore" --mutex all --seeds 4 --threads 4 \
+  "$build/mra_explore" --mutex all --cm-ring --seeds 4 --threads 4 \
     --progress "$out/hb_explore.json" --json "$out/sweep_t4.json"
-  "$build/mra_explore" --mutex all --seeds 4 --threads 1 \
+  "$build/mra_explore" --mutex all --cm-ring --seeds 4 --threads 1 \
     --json "$out/sweep_t1.json"
   cmp "$out/sweep_t1.json" "$out/sweep_t4.json"
   test -f "$out/hb_explore.json"

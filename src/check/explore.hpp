@@ -104,27 +104,34 @@ struct ExploreProgress {
 // Scenario explorer (fuzz mode)
 // ---------------------------------------------------------------------------
 
-struct ExploreConfig {
-  std::vector<scenario::ScenarioSpec> scenarios;  ///< already quick-adjusted
-  std::vector<algo::Algorithm> algorithms;
-  int seeds_per_case = 10;     ///< seed budget per (scenario, algorithm)
+/// The sweep fields every explorer config shares. Exhaustive mode reads only
+/// base_seed, monitor, trace_dir and progress; it ignores seeds_per_case,
+/// delay_bound, stop_on_first (it always stops at the first violating
+/// schedule) and threads (it enumerates on the calling thread).
+struct ExploreCommon {
+  int seeds_per_case = 10;     ///< seed budget per case
   std::uint64_t base_seed = 1;
   /// Maximum extra per-message delay; each run draws its own bound in
   /// [0, this] from a deterministic meta-stream.
   sim::SimDuration delay_bound = sim::from_ms(2.0);
   bool stop_on_first = true;   ///< stop the whole sweep at the first bug
-  MonitorConfig monitor;       ///< oracle template (sizes filled per spec)
-  std::string trace_dir;       ///< where repro traces land ("" = don't save)
-  int minimize_budget = 48;    ///< replay attempts the minimizer may spend
+  MonitorConfig monitor;       ///< oracle template (sizes filled per run)
   /// Sweep parallelism (0 = hardware concurrency). Runs are sharded in
   /// fixed-size waves scanned in deterministic order, so the report — runs,
   /// violating_runs, and the first violation — is identical for any value.
   int threads = 1;
+  std::string trace_dir;       ///< where repro traces land ("" = don't save)
+  ExploreProgress* progress = nullptr;  ///< live counters (null = none)
+};
+
+struct ExploreConfig : ExploreCommon {
+  std::vector<scenario::ScenarioSpec> scenarios;  ///< already quick-adjusted
+  std::vector<algo::Algorithm> algorithms;
+  int minimize_budget = 48;    ///< replay attempts the minimizer may spend
   /// > 0: after a reproducing violation, try this many perturbation
   /// variants (remixed seed, scaled delay bound) around it; the smallest
   /// minimized repro across the violating variants wins.
   int neighborhood_variants = 0;
-  ExploreProgress* progress = nullptr;  ///< live counters (null = none)
 };
 
 struct FoundViolation {
@@ -185,23 +192,15 @@ enum class MutexProtocol { kNaimiTrehel, kSuzukiKasami, kRicartAgrawala };
 /// Parses "nt" | "sk" | "ra"; throws std::invalid_argument otherwise.
 [[nodiscard]] MutexProtocol mutex_protocol_from_name(const std::string& name);
 
-struct MutexExploreConfig {
+struct MutexExploreConfig : ExploreCommon {
   std::vector<MutexProtocol> protocols;
   int num_sites = 8;
   int requests_per_site = 25;
-  int seeds_per_case = 10;
-  std::uint64_t base_seed = 1;
-  sim::SimDuration delay_bound = sim::from_ms(2.0);
-  bool stop_on_first = true;
-  MonitorConfig monitor;  ///< sizes are overridden (num_resources = 1)
-  int threads = 1;        ///< wave-sharded like ExploreConfig::threads
-  std::string trace_dir;  ///< where v2 repro traces land ("" = don't save)
-  ExploreProgress* progress = nullptr;  ///< live counters (null = none)
 };
 
 /// Same sweep over the three single-resource mutual-exclusion substrates;
-/// CS-lifecycle events are fed by the harness (engines are not
-/// AllocatorNodes), message/clock events flow through the normal hooks.
+/// each engine is wrapped in an AllocatorNode, so CS-lifecycle, message and
+/// clock events all flow through the normal hooks.
 /// Violating runs record a self-contained v2 trace (algorithm "nt" | "sk" |
 /// "ra") that check_replay(trace) re-triggers.
 [[nodiscard]] ExploreReport explore_mutex(const MutexExploreConfig& config);
@@ -209,7 +208,8 @@ struct MutexExploreConfig {
 /// Exhaustive enumeration on the mutex substrate: all sites issue at t = 0
 /// on a fixed-latency grid, every same-instant commutation is explored.
 /// Deterministic: the schedule count, coverage stats and first violation
-/// are a pure function of (config, dpor). Uses config.protocols.front().
+/// are a pure function of (config, dpor). Throws std::invalid_argument
+/// unless config.protocols holds exactly one protocol.
 [[nodiscard]] ExploreReport explore_mutex_exhaustive(
     const MutexExploreConfig& config, const DporConfig& dpor);
 
@@ -217,18 +217,10 @@ struct MutexExploreConfig {
 // Chandy-Misra ring explorer (conflict-graph substrate)
 // ---------------------------------------------------------------------------
 
-struct CmRingExploreConfig {
+struct CmRingExploreConfig : ExploreCommon {
   int num_sites = 4;          ///< ring size; resource i = edge (i, i+1 mod N)
   int requests_per_site = 6;
-  int seeds_per_case = 10;
-  std::uint64_t base_seed = 1;
-  sim::SimDuration delay_bound = sim::from_ms(2.0);
   sim::SimDuration cs = sim::from_ms(2.0);  ///< drink duration
-  bool stop_on_first = true;
-  MonitorConfig monitor;  ///< sizes overridden (resources = num_sites)
-  int threads = 1;
-  std::string trace_dir;
-  ExploreProgress* progress = nullptr;  ///< live counters (null = none)
 };
 
 /// Fuzz sweep over a Chandy-Misra ring: each request picks one incident

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,10 @@ bool has_oracle(const std::vector<Violation>& violations,
                 const std::string& oracle) {
   return std::any_of(violations.begin(), violations.end(),
                      [&](const Violation& v) { return v.oracle == oracle; });
+}
+
+std::string file_name(const std::string& path) {
+  return std::filesystem::path(path).filename().string();
 }
 
 // ---------------------------------------------------------------------------
@@ -161,6 +167,20 @@ TEST(ExhaustiveMutex, AllThreeProtocolsCleanUnderEnumeration) {
   }
 }
 
+TEST(ExhaustiveMutex, TakesExactlyOneProtocol) {
+  // One schedule space per run: a second protocol would be ignored while
+  // the report still claimed complete coverage.
+  MutexExploreConfig cfg;
+  cfg.num_sites = 3;
+  cfg.requests_per_site = 2;
+  cfg.protocols = {MutexProtocol::kNaimiTrehel, MutexProtocol::kSuzukiKasami};
+  EXPECT_THROW((void)explore_mutex_exhaustive(cfg, DporConfig{}),
+               std::invalid_argument);
+  cfg.protocols.clear();
+  EXPECT_THROW((void)explore_mutex_exhaustive(cfg, DporConfig{}),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Thread-count invariance: the sweep is sharded in fixed waves scanned in
 // case order, so the report is a pure function of the config.
@@ -242,6 +262,53 @@ TEST_F(ExploreMutantTest, NtDropTokenFoundInEveryModeWithSelfContainedRepro) {
   set_active_mutant(Mutant::kNone);
   EXPECT_TRUE(has_oracle(check_replay(repro), "deadlock"))
       << "v2 repro trace alone did not re-trigger the deadlock";
+}
+
+// The exhaustive scenario and ring harnesses stop at the first violating
+// schedule, keep its choice stack and save a repro that replays on its own.
+TEST_F(ExploreMutantTest, LassPrematureEntryFoundExhaustivelyOnTinySpec) {
+  set_active_mutant(Mutant::kLassPrematureEntry);
+  const ExploreReport r = explore_scenario_exhaustive(
+      tiny_exhaustive_spec(), algo::Algorithm::kLassWithoutLoan,
+      MonitorConfig{}, DporConfig{}, ::testing::TempDir());
+  ASSERT_EQ(r.found.size(), 1u);
+  EXPECT_EQ(r.runs, 1u);
+  EXPECT_EQ(r.violating_runs, 1u);
+  EXPECT_EQ(r.choice_points, 0u);
+  const FoundViolation& f = r.found.front();
+  EXPECT_TRUE(has_oracle(f.violations, "mutual-exclusion"));
+  // The canonical schedule already violates before its first choice
+  // point, so the choice stack that forces it is empty.
+  EXPECT_TRUE(f.commutation.empty());
+  EXPECT_TRUE(f.replay_reproduces);
+  EXPECT_EQ(f.trace_events, 3u);
+  EXPECT_EQ(file_name(f.trace_path),
+            "repro_tiny-exhaustive_lass-exhaustive_s1.mra");
+  const scenario::RequestTrace repro = scenario::load_trace(f.trace_path);
+  set_active_mutant(Mutant::kNone);
+  EXPECT_TRUE(has_oracle(check_replay(repro), "mutual-exclusion"));
+}
+
+TEST_F(ExploreMutantTest, CmForkBottleConfusionFoundExhaustivelyOnTheRing) {
+  set_active_mutant(Mutant::kCmForkBottleConfusion);
+  CmRingExploreConfig cfg;
+  cfg.num_sites = 4;
+  cfg.trace_dir = ::testing::TempDir();
+  const ExploreReport r = explore_cm_ring_exhaustive(cfg, DporConfig{});
+  ASSERT_EQ(r.found.size(), 1u);
+  EXPECT_EQ(r.runs, 1u);
+  EXPECT_EQ(r.violating_runs, 1u);
+  EXPECT_EQ(r.choice_points, 2u);
+  EXPECT_EQ(r.orderings_pruned, 44u);
+  const FoundViolation& f = r.found.front();
+  EXPECT_TRUE(has_oracle(f.violations, "mutual-exclusion"));
+  EXPECT_EQ(f.commutation, (std::vector<std::uint64_t>{0, 0}));
+  EXPECT_TRUE(f.replay_reproduces);
+  EXPECT_EQ(f.trace_events, 4u);
+  EXPECT_EQ(file_name(f.trace_path), "repro_cm-ring-exhaustive_s1.mra");
+  const scenario::RequestTrace repro = scenario::load_trace(f.trace_path);
+  set_active_mutant(Mutant::kNone);
+  EXPECT_TRUE(has_oracle(check_replay(repro), "mutual-exclusion"));
 }
 
 TEST_F(ExploreMutantTest, FuzzThreadInvarianceHoldsOnViolatingSweeps) {
